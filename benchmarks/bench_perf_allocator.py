@@ -23,11 +23,20 @@ quality ratio at batch 16 under the shared :func:`plan_objective`; the
 regression gate holds those p50s under absolute ceilings and the ratio
 under the 5% quality bound.
 
+A ``server_scaling`` section runs the same six coalesce-12 windows (four
+VMs of each class) through a service :class:`Session` at 64, 512 and
+2,048 empty servers and records each window's allocation time.  Extra
+empty servers share one ``(mix, max_vms)`` class, so the plans must be
+identical at every size and the window time should not grow with the
+server count; the regression gate holds the 2,048-server median to at
+most twice the 64-server one.
+
 Run:  PYTHONPATH=src python benchmarks/bench_perf_allocator.py [--quick]
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import statistics
@@ -45,6 +54,7 @@ from repro.core.allocator import (
 from repro.core.model import ModelDatabase
 from repro.obs.runtime import observed
 from repro.service.schema import SCHEMA_VERSION
+from repro.service.session import Session, SessionConfig
 from repro.testbed.benchmarks import WorkloadClass
 
 OUTPUT = Path(__file__).resolve().parent / "BENCH_allocator.json"
@@ -63,6 +73,13 @@ SEED_REPEATS = {8: 3, 16: 1, 24: 3}
 #: mix clears the exact_partition_limit so automatic selection engages.
 ANYTIME_BATCHES = {16: (6, 5, 5), 24: (10, 7, 7), 32: (12, 10, 10)}
 ANYTIME_REPEATS = {16: 9, 24: 7, 32: 5}
+
+#: server-scaling section: session sizes, windows per size, and the
+#: window mix (coalesce 12 = four VMs of each class, the costliest
+#: twelve-VM mix).
+SCALING_SERVERS = (64, 512, 2048)
+SCALING_WINDOWS = 6
+SCALING_COUNTS = (4, 4, 4)
 
 
 class SeedDatabase:
@@ -212,6 +229,7 @@ def run(quick=False):
         )
 
     report["anytime"] = bench_anytime(database, servers, quick=quick)
+    report["server_scaling"] = bench_server_scaling(database)
     report["observability"] = bench_observability(database, servers, quick=quick)
 
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
@@ -291,6 +309,65 @@ def bench_anytime(database, servers, quick=False):
             f"exact {exact_samples[0]:.3f}s -> anytime "
             f"{anytime_p50:.3f}s ({exact_samples[0] / anytime_p50:.0f}x)"
         )
+    return section
+
+
+def bench_server_scaling(database):
+    """Coalesce-12 window allocation time through a Session vs server count.
+
+    Each size gets a fresh session over empty servers and the same
+    :data:`SCALING_WINDOWS` windows; only ``run_ready_batches`` (the
+    service's per-window work) is timed.  Windows alternate between the
+    sizes so drift (thermal, cache, other tenants) hits all of them
+    equally.  The plan documents of every size must match byte for
+    byte, so the sizes are like for like.
+    """
+    coalesce = sum(SCALING_COUNTS)
+    sessions = {
+        n_servers: Session(
+            "scaling", SessionConfig(n_servers=n_servers, coalesce=coalesce), database
+        )
+        for n_servers in SCALING_SERVERS
+    }
+    samples = {n_servers: [] for n_servers in SCALING_SERVERS}
+    for window in range(SCALING_WINDOWS):
+        requests = [
+            dataclasses.replace(request, vm_id=f"w{window}-{request.vm_id}")
+            for request in make_requests(SCALING_COUNTS)
+        ]
+        for n_servers, session in sessions.items():
+            session.admit(requests)
+            t0 = time.perf_counter()
+            records = session.run_ready_batches()
+            samples[n_servers].append(time.perf_counter() - t0)
+            assert len(records) == 1 and records[0].plan is not None
+    section = {
+        "coalesce": coalesce,
+        "counts": list(SCALING_COUNTS),
+        "windows": SCALING_WINDOWS,
+        "servers": {},
+    }
+    for n_servers in SCALING_SERVERS:
+        p50 = statistics.median(samples[n_servers])
+        section["servers"][str(n_servers)] = {
+            "p50_s": p50,
+            "samples_s": samples[n_servers],
+        }
+        print(f"server scaling: {n_servers:>5d} servers  window p50 {p50:7.3f}s")
+    smallest, largest = SCALING_SERVERS[0], SCALING_SERVERS[-1]
+    section["ratio"] = (
+        section["servers"][str(largest)]["p50_s"]
+        / section["servers"][str(smallest)]["p50_s"]
+    )
+    plans = {
+        json.dumps([record.to_document() for record in session.batches], sort_keys=True)
+        for session in sessions.values()
+    }
+    section["plans_identical"] = len(plans) == 1
+    print(
+        f"server scaling: {largest}/{smallest} window ratio "
+        f"{section['ratio']:.2f}  plans identical {section['plans_identical']}"
+    )
     return section
 
 

@@ -15,6 +15,13 @@ batches the exact enumerator cannot afford, so a relative baseline
 would defeat the contract -- and its batch-16 quality ratio against
 the exact optimum must stay under ``--quality-bound`` (default 1.05).
 
+The ``server_scaling`` section (when present) must show a coalesce-12
+session window at 2,048 servers taking at most ``SCALING_RATIO``
+(2.0) times its time at 64 servers: the allocator probes one
+server per ``(mix, max_vms)`` class, so extra identical servers must
+not cost time.  Its identity check -- the same plan documents at every
+server count -- must hold.
+
 Additionally gates ``benchmarks/BENCH_parallel.json`` (produced by
 ``benchmarks/bench_perf_parallel.py``) when present: the jobs=4
 evaluation fan-out must reach the required speedup over serial
@@ -36,15 +43,17 @@ identity checks -- same admitted sequence, chunked three ways, equal
 to the in-process session byte-for-byte -- must hold.
 
 Additionally gates ``benchmarks/BENCH_sim.json`` (produced by
-``benchmarks/bench_sim_scale.py``) when present: the sharded indexed
-simulation core must beat the retained naive core by the required
+``benchmarks/bench_sim_scale.py``) when present: a 10-shard indexed run
+must beat an unsharded run of the retained naive core by the required
 factor at the 100k-VM scale (default 5x, chronicle-free legs on both
-sides -- the gain is algorithmic, so it holds on one CPU), peak RSS of
-the 100k campaign must stay within the allowed multiple of the 10k
-campaign (default 1.2x -- the streaming chronicle and job spooling
-keep the core's memory flat), and the merge-identity checks -- results
-bit-identical across worker counts, with and without fault injection
--- must hold unconditionally.
+sides).  The two legs are different simulated systems -- a sharded
+result is a function of the decomposition, and its energy is about
+0.5% lower at 100k VMs -- so the factor is not a like-for-like speedup
+of the indexed core.  Peak RSS of the 100k campaign must stay within
+the allowed multiple of the 10k campaign (default 1.2x -- the
+streaming chronicle and job spooling keep the core's memory flat), and
+the merge-identity checks -- results bit-identical across worker
+counts, with and without fault injection -- must hold unconditionally.
 
 Additionally gates ``benchmarks/BENCH_carbon.json`` (produced by
 ``benchmarks/bench_carbon.py``) when present: temporally shifting the
@@ -85,6 +94,10 @@ CARBON = BENCH_DIR / "BENCH_carbon.json"
 #: absolute p50 ceilings (seconds) for the anytime-mode batches; the
 #: exact enumerator needs ~13 s (batch 16) to minutes (batch 32) here.
 ANYTIME_CEILINGS = {"16": 0.65, "32": 1.5}
+
+#: allowed ratio of the coalesce-12 session window p50 at the largest
+#: server count over the smallest (2,048 vs 64 servers).
+SCALING_RATIO = 2.0
 
 
 def load(path: Path) -> dict:
@@ -264,6 +277,37 @@ def main(argv=None) -> int:
                 f"anytime quality: ratio {ratio:8.4f}  bound "
                 f"{args.quality_bound:8.2f}  {verdict}"
             )
+
+    scaling = current.get("server_scaling")
+    if scaling is None:
+        print(
+            "server scaling: no section in current run (skipped; rerun "
+            "benchmarks/bench_perf_allocator.py to gate it)"
+        )
+    else:
+        sizes = sorted(scaling["servers"], key=int)
+        smallest, largest = sizes[0], sizes[-1]
+        small_p50 = scaling["servers"][smallest]["p50_s"]
+        large_p50 = scaling["servers"][largest]["p50_s"]
+        ratio = large_p50 / small_p50 if small_p50 > 0 else float("inf")
+        verdict = "OK"
+        if ratio > SCALING_RATIO:
+            verdict = "REGRESSION"
+            failures.append(
+                f"server scaling: window p50 {large_p50:.3f}s at {largest} "
+                f"servers is {ratio:.2f}x the {small_p50:.3f}s at {smallest}, "
+                f"over the {SCALING_RATIO:.1f}x bound"
+            )
+        print(
+            f"server scaling: {largest}/{smallest} window p50 ratio "
+            f"{ratio:8.2f}  bound {SCALING_RATIO:8.1f}  {verdict}"
+        )
+        if not scaling.get("plans_identical", False):
+            failures.append(
+                "server scaling: plans differ across server counts -- the "
+                "sizes are no longer like for like"
+            )
+        print(f"server scaling: identity plans={scaling.get('plans_identical')}")
 
     observability = current.get("observability")
     if observability is None:

@@ -35,6 +35,9 @@ property-style in ``tests/properties``):
 
 * model estimates come from the dense :class:`EstimateGrid` (one O(1)
   indexed read per (partition, block, server) probe);
+* servers sharing an ``(allocated, max_vms)`` class are probed through
+  one representative -- the lowest-index one the scan would evaluate --
+  so a block costs O(classes) rather than O(servers);
 * instead of materializing every feasible candidate, only the
   (makespan, energy) Pareto frontier is retained -- the alpha score is
   monotone in both axes under any fixed normalization, so a candidate
@@ -56,7 +59,7 @@ bit-identical output.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -276,12 +279,20 @@ class _Frontier:
 
 
 class _SearchState:
-    """Per-allocate scratch: precomputed server data, frontiers, bounds."""
+    """Per-allocate scratch: the server-class index, frontiers, bounds.
+
+    ``classes`` lists the in-grid server classes -- servers sharing an
+    ``(allocated, max_vms)`` pair -- as ``(mix, cap, base_energy,
+    members)`` tuples in order of their lowest member index, each
+    ``members`` list ascending; off-grid classes are left out (they
+    can never host a block).  ``leaders`` holds each class's
+    lowest-index member as a block-assignment probe.
+    """
 
     __slots__ = (
         "servers",
-        "server_ids",
-        "caps",
+        "classes",
+        "leaders",
         "deadlines",
         "deadline_memo",
         "stats",
@@ -291,9 +302,6 @@ class _SearchState:
         "stride_m",
         "norm_time",
         "norm_energy",
-        "residual0",
-        "base0",
-        "inbox",
         "compliant",
         "fallback",
         "tables",
@@ -734,11 +742,18 @@ class ProactiveAllocator:
         servers: Sequence[ServerState],
         deadlines: "dict[WorkloadClass, float]",
     ) -> _SearchState:
+        """Per-allocate scratch, including the server-class index.
+
+        The one pass over the servers groups them by ``(allocated,
+        max_vms)``: servers in one class are indistinguishable to the
+        model (the database is keyed by the mix), so every later
+        per-block loop walks classes instead of servers.  Dict
+        insertion order keeps the classes ordered by their lowest
+        member index, which is what the first-in-list tie-break needs.
+        """
         grid = self._grid
         state = _SearchState()
         state.servers = servers
-        state.server_ids = [s.server_id for s in servers]
-        state.caps = [s.max_vms for s in servers]
         state.deadlines = deadlines
         state.deadline_memo = {}
         state.stats = CacheStats()
@@ -768,35 +783,39 @@ class ProactiveAllocator:
         state.ub_energy = -_INF
         state.block_memo = {}
 
-        residual0: list[MixKey] = []
-        base0: list[float] = []
-        inbox: list[bool] = []
-        for server in servers:
-            mix = server.allocated
-            residual0.append(mix)
+        members_of: dict[tuple[MixKey, int | None], list[int]] = {}
+        for index, server in enumerate(servers):
+            key = (server.allocated, server.max_vms)
+            members = members_of.get(key)
+            if members is None:
+                members_of[key] = [index]
+            else:
+                members.append(index)
+        classes: list[tuple[MixKey, int | None, float, list[int]]] = []
+        for key, members in members_of.items():
+            mix, cap = key
             if not grid.covers(mix):
                 # Off-grid residual: every combined mix is off-grid
-                # too, so the server can never host a block and its
+                # too, so the class can never host a block and its
                 # base energy is never consulted.
-                inbox.append(False)
-                base0.append(0.0)
                 continue
-            inbox.append(True)
-            if total_vms(mix) == 0:
-                base0.append(0.0)
-                continue
-            cell = state.cells[grid.index(mix)]
-            if cell is None:
-                # The reference path silently treats an unestimable
-                # existing mix as zero committed energy; keep the value
-                # but surface the event in the provenance counters.
-                state.stats.energy_fallbacks += 1
-                base0.append(0.0)
-            else:
-                base0.append(cell.energy_j)
-        state.residual0 = residual0
-        state.base0 = base0
-        state.inbox = inbox
+            base = 0.0
+            if total_vms(mix) > 0:
+                cell = state.cells[grid.index(mix)]
+                if cell is None:
+                    # The reference path silently treats an unestimable
+                    # existing mix as zero committed energy; keep the
+                    # value but surface the event (once per server) in
+                    # the provenance counters.
+                    state.stats.energy_fallbacks += len(members)
+                else:
+                    base = cell.energy_j
+            classes.append((mix, cap, base, members))
+        state.classes = classes
+        state.leaders = [
+            (members[0], mix, cap, base, slot)
+            for slot, (mix, cap, base, members) in enumerate(classes)
+        ]
 
         if self._carbon is None and total_vms(counts) >= self._bnb_min_vms:
             # Branch-and-bound prunes on (time, energy) upper bounds,
@@ -814,29 +833,29 @@ class ProactiveAllocator:
         Sums, over in-grid servers, how many VMs of each class (and in
         total) each could still absorb given the grid box and its
         ``max_vms``; any feasible assignment respects these caps, so a
-        batch exceeding one has no feasible partition.
+        batch exceeding one has no feasible partition.  The slacks are
+        integers, so each server class contributes its per-server
+        slack times its size.
         """
         osc, osm, osi = state.bounds
         cap_c = cap_m = cap_i = 0
         cap_total = 0
-        for index, server in enumerate(state.servers):
-            if not state.inbox[index]:
-                continue
-            rc, rm, ri = state.residual0[index]
+        for (rc, rm, ri), max_vms, _, members in state.classes:
+            size = len(members)
             slack_c = osc - rc
             slack_m = osm - rm
             slack_i = osi - ri
             box_slack = slack_c + slack_m + slack_i
-            if server.max_vms is None:
+            if max_vms is None:
                 vm_slack = box_slack
             else:
-                vm_slack = server.max_vms - (rc + rm + ri)
+                vm_slack = max_vms - (rc + rm + ri)
                 if vm_slack < 0:
                     vm_slack = 0
-            cap_c += slack_c if slack_c < vm_slack else vm_slack
-            cap_m += slack_m if slack_m < vm_slack else vm_slack
-            cap_i += slack_i if slack_i < vm_slack else vm_slack
-            cap_total += box_slack if box_slack < vm_slack else vm_slack
+            cap_c += size * (slack_c if slack_c < vm_slack else vm_slack)
+            cap_m += size * (slack_m if slack_m < vm_slack else vm_slack)
+            cap_i += size * (slack_i if slack_i < vm_slack else vm_slack)
+            cap_total += size * (box_slack if box_slack < vm_slack else vm_slack)
         ncpu, nmem, nio = counts
         return (
             ncpu > cap_c
@@ -865,51 +884,47 @@ class ProactiveAllocator:
         stride_c = state.stride_c
         stride_m = state.stride_m
         ub_time = -_INF
+        # Per-class scans: the largest reachable time and, per VM count
+        # placed, the best marginal energy gain.
+        scans: dict[tuple[MixKey, int | None], list[float]] = {}
+        for (rc, rm, ri), max_vms, base, _ in state.classes:
+            r_total = rc + rm + ri
+            cap = n
+            if max_vms is not None and max_vms - r_total < cap:
+                cap = max_vms - r_total
+            if cap < 0:
+                cap = 0
+            hi_c = min(rc + counts[0], osc)
+            hi_m = min(rm + counts[1], osm)
+            hi_i = min(ri + counts[2], osi)
+            gains = [-_INF] * (cap + 1)
+            gains[0] = 0.0
+            for c in range(rc, hi_c + 1):
+                for m in range(rm, hi_m + 1):
+                    row = c * stride_c + m * stride_m
+                    for i in range(ri, hi_i + 1):
+                        placed = (c - rc) + (m - rm) + (i - ri)
+                        if placed == 0 or placed > cap:
+                            continue
+                        cell = cells[row + i]
+                        if cell is None:
+                            continue
+                        if cell.time_s > ub_time:
+                            ub_time = cell.time_s
+                        gain = cell.energy_j - base
+                        if gain < 0.0:
+                            gain = 0.0
+                        if gain > gains[placed]:
+                            gains[placed] = gain
+            scans[((rc, rm, ri), max_vms)] = gains
+        # The knapsack folds servers in one at a time, in server order,
+        # so its float additions happen in the same order as a plain
+        # scan.
         best = [0.0] + [-_INF] * n
-        # Identical (residual, cap, base) servers share scan results.
-        scan_memo: dict[tuple[MixKey, int | None], tuple[float, list[float]]] = {}
-        for index, server in enumerate(state.servers):
-            if not state.inbox[index]:
-                continue
-            key = (state.residual0[index], server.max_vms)
-            cached = scan_memo.get(key)
-            if cached is None:
-                rc, rm, ri = state.residual0[index]
-                r_total = rc + rm + ri
-                cap = n
-                if server.max_vms is not None and server.max_vms - r_total < cap:
-                    cap = server.max_vms - r_total
-                if cap < 0:
-                    cap = 0
-                base = state.base0[index]
-                hi_c = min(rc + counts[0], osc)
-                hi_m = min(rm + counts[1], osm)
-                hi_i = min(ri + counts[2], osi)
-                local_ub_t = -_INF
-                gains = [-_INF] * (cap + 1)
-                gains[0] = 0.0
-                for c in range(rc, hi_c + 1):
-                    for m in range(rm, hi_m + 1):
-                        row = c * stride_c + m * stride_m
-                        for i in range(ri, hi_i + 1):
-                            placed = (c - rc) + (m - rm) + (i - ri)
-                            if placed == 0 or placed > cap:
-                                continue
-                            cell = cells[row + i]
-                            if cell is None:
-                                continue
-                            if cell.time_s > local_ub_t:
-                                local_ub_t = cell.time_s
-                            gain = cell.energy_j - base
-                            if gain < 0.0:
-                                gain = 0.0
-                            if gain > gains[placed]:
-                                gains[placed] = gain
-                cached = (local_ub_t, gains)
-                scan_memo[key] = cached
-            local_ub_t, gains = cached
-            if local_ub_t > ub_time:
-                ub_time = local_ub_t
+        for server in state.servers:
+            gains = scans.get((server.allocated, server.max_vms))
+            if gains is None:
+                continue  # off-grid
             cap = len(gains) - 1
             new = [-_INF] * (n + 1)
             for total in range(n + 1):
@@ -954,10 +969,8 @@ class ProactiveAllocator:
         lb_t = _INF
         lb_e = _INF
         hopeful = False
-        for index, server in enumerate(state.servers):
-            if not state.inbox[index]:
-                continue
-            rc, rm, ri = state.residual0[index]
+        # A minimum over servers is a minimum over their classes.
+        for (rc, rm, ri), max_vms, base, _ in state.classes:
             kc = rc + bc
             km = rm + bm
             ki = ri + bi
@@ -967,13 +980,13 @@ class ProactiveAllocator:
             needed = min_vms[grid_index]
             if needed == _INF:
                 continue
-            if server.max_vms is not None and needed > server.max_vms:
+            if max_vms is not None and needed > max_vms:
                 continue
             hopeful = True
             t = min_time[grid_index]
             if t < lb_t:
                 lb_t = t
-            e = min_energy[grid_index] - state.base0[index]
+            e = min_energy[grid_index] - base
             if e < 0.0:
                 e = 0.0
             if e < lb_e:
@@ -1094,15 +1107,34 @@ class ProactiveAllocator:
         state: _SearchState,
         abortable: bool,
     ) -> _Candidate | None:
-        """Greedy block assignment against the dense grid.
+        """Greedy block assignment against the dense grid and class index.
 
         Float-for-float identical to the reference `_assign_partition`
-        (same probe order, same score expression, same tie-breaks);
-        the only behavioural addition is the mid-assignment abort: once
-        the dominance latch is closed, a partial assignment whose
-        admissible lower bounds are already weakly dominated by a
-        retained compliant candidate is abandoned (it could neither be
-        selected nor move the pool maxima).
+        (same probes, same probe order, same score expression, same
+        tie-breaks).  The reference scans every server and evaluates
+        the lowest-index server of each distinct current ``(mix, cap)``;
+        this pass probes only the servers that can be such a server:
+
+        * each class's *leader* -- its lowest-index member no earlier
+          block of this partition touched.  A server is only ever
+          touched after being probed, and only leaders of untouched
+          servers are probed, so the touched members of a class are a
+          prefix of its member list and the leader is the next one;
+        * every touched server, at its current mix.
+
+        Sorted by index and deduplicated by ``(mix, cap)``, that list
+        is exactly the set the full scan evaluates, in the scan's
+        order, so plans, scores, QoS flags and the grid hit/miss
+        counters are unchanged.  With nothing touched (always the
+        first block) the leaders are distinct classes already in index
+        order and need no dedupe.  A block therefore costs
+        O(classes + touched) probes instead of O(servers).
+
+        The only behavioural addition over the reference is the
+        mid-assignment abort: once the dominance latch is closed, a
+        partial assignment whose admissible lower bounds are already
+        weakly dominated by a retained compliant candidate is abandoned
+        (it could neither be selected nor move the pool maxima).
         """
         deadlines = state.deadlines
         deadline_memo = state.deadline_memo
@@ -1114,13 +1146,14 @@ class ProactiveAllocator:
         max_energy = state.norm_energy
         energy_weight = self._weights.energy_weight
         time_weight = self._weights.time_weight
-        server_ids = state.server_ids
-        caps = state.caps
-        n_servers = len(server_ids)
+        classes = state.classes
         check_abort = abortable and state.dominance
 
-        residual: list[MixKey] = list(state.residual0)
-        base_energy: list[float] = list(state.base0)
+        # Probes are (server index, current mix, cap, committed energy,
+        # class slot), sorted by index; touched servers carry slot -1.
+        # The list is shared with the state until the first pick.
+        probes = state.leaders
+        heads: dict[int, int] = {}
         picks: list[tuple[str, MixKey, MixKey, EstimatedOutcome]] = []
         touched: dict[int, tuple[float, EstimatedOutcome]] = {}
         hits = 0
@@ -1132,7 +1165,9 @@ class ProactiveAllocator:
         # so this equals the reference's final all(...) pass.
         qos_ok = True
 
-        for position, block in enumerate(sorted(partition, key=total_vms, reverse=True)):
+        blocks = sorted(partition, key=total_vms, reverse=True)
+        last = len(blocks) - 1
+        for position, block in enumerate(blocks):
             if check_abort and position > 0 and (
                 state.ready or self._dominance_ready(state)
             ):
@@ -1164,19 +1199,21 @@ class ProactiveAllocator:
             else:
                 block_deadline = None
             bc, bm, bi = block
-            best_index = -1
+            best_probe = None
             best_score = _INF
             best_estimate: EstimatedOutcome | None = None
             best_compliant = False
+            dedupe = position > 0  # something is touched
             seen_classes: set[tuple[MixKey, int | None]] = set()
             seen_add = seen_classes.add
-            for index in range(n_servers):
-                mix = residual[index]
-                cap = caps[index]
-                equivalence = (mix, cap)
-                if equivalence in seen_classes:
-                    continue
-                seen_add(equivalence)
+            for probe in probes:
+                mix = probe[1]
+                cap = probe[2]
+                if dedupe:
+                    equivalence = (mix, cap)
+                    if equivalence in seen_classes:
+                        continue
+                    seen_add(equivalence)
                 kc = mix[0] + bc
                 km = mix[1] + bm
                 ki = mix[2] + bi
@@ -1189,7 +1226,7 @@ class ProactiveAllocator:
                     misses += 1
                     continue
                 hits += 1
-                marginal_energy = estimate.energy_j - base_energy[index]
+                marginal_energy = estimate.energy_j - probe[3]
                 if marginal_energy < 0.0:
                     marginal_energy = 0.0
                 score = (
@@ -1199,24 +1236,38 @@ class ProactiveAllocator:
                 compliant = block_deadline is None or estimate.time_s <= block_deadline
                 # Deadline-compliant placements always beat non-compliant
                 # ones; within a compliance tier the alpha score decides.
-                if best_index < 0 or (compliant, -score) > (best_compliant, -best_score):
+                if best_probe is None or (compliant, -score) > (best_compliant, -best_score):
                     best_score = score
-                    best_index = index
+                    best_probe = probe
                     best_estimate = estimate
                     best_compliant = compliant
-            if best_index < 0:
+            if best_probe is None:
                 state.stats.grid_hits += hits
                 state.stats.grid_misses += misses
                 return None
             assert best_estimate is not None
-            previous = touched.get(best_index)
-            if previous is None:
-                touched[best_index] = (base_energy[best_index], best_estimate)
+            best_index, _, cap, base, slot = best_probe
+            if slot < 0:
+                touched[best_index] = (touched[best_index][0], best_estimate)
             else:
-                touched[best_index] = (previous[0], best_estimate)
-            residual[best_index] = best_estimate.key
-            base_energy[best_index] = best_estimate.energy_j
-            picks.append((server_ids[best_index], block, best_estimate.key, best_estimate))
+                touched[best_index] = (base, best_estimate)
+            if position < last:
+                if position == 0:
+                    probes = list(probes)
+                # The picked server keeps its sort position at its new mix.
+                probes[bisect_left(probes, (best_index,))] = (
+                    best_index, best_estimate.key, cap, best_estimate.energy_j, -1
+                )
+                if slot >= 0:
+                    # A leader was picked: its class's next member leads.
+                    members = classes[slot][3]
+                    head = heads.get(slot, 0) + 1
+                    heads[slot] = head
+                    if head < len(members):
+                        insort(probes, (members[head],) + best_probe[1:])
+            picks.append(
+                (state.servers[best_index].server_id, block, best_estimate.key, best_estimate)
+            )
             qos_ok = qos_ok and best_compliant
 
         state.stats.grid_hits += hits

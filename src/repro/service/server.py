@@ -468,7 +468,9 @@ class Service:
         ``Event.set()``.  Allocation itself runs inline (the allocator
         is CPU-bound and sessions are mutated atomically), with a
         ``sleep(0)`` between windows so concurrently arriving requests
-        keep being read.
+        keep being read.  Each drain's wall time -- how long it held
+        the event loop -- lands in the volatile, per-session
+        ``service.window_alloc_s`` histogram.
         """
         session = self._sessions[session_id]
         event = self._events[session_id]
@@ -476,7 +478,11 @@ class Service:
             await event.wait()
             event.clear()
             while session.window_ready():
+                start = _perf_counter()
                 records = session.run_ready_batches()
+                self._registry.histogram(
+                    "service.window_alloc_s", unit="s", volatile=True, session=session_id
+                ).observe(_perf_counter() - start)
                 self._note_latency(session_id, records)
                 await asyncio.sleep(0)
 

@@ -57,6 +57,13 @@ from repro.testbed.benchmarks import WorkloadClass
 #: Index into a (ncpu, nmem, nio) mix per workload class.
 _CLASS_INDEX = {WorkloadClass.CPU: 0, WorkloadClass.MEM: 1, WorkloadClass.IO: 2}
 
+#: Largest ``n_servers`` a session accepts.  Building a session's
+#: server table runs on the service's event loop and grows linearly
+#: with the count (a million servers takes seconds and hundreds of
+#: megabytes), so larger counts are rejected at validation time, both
+#: on creation and on restore.
+MAX_SERVERS = 65_536
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -80,6 +87,10 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         parse_count("n_servers", self.n_servers)
+        if self.n_servers > MAX_SERVERS:
+            raise ValueError(
+                f"n_servers must be at most {MAX_SERVERS}, got {self.n_servers}"
+            )
         parse_alpha(self.alpha)
         parse_count("coalesce", self.coalesce)
         parse_count("max_queue", self.max_queue)

@@ -12,13 +12,15 @@ chaos endpoint against a live session, and snapshot/restore.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 import repro
 from repro.common.validation import parse_alpha
+from repro.obs.runtime import Observability
 from repro.service import BackgroundService, ServiceConfig
-from repro.service.session import Session, SessionConfig
+from repro.service.session import MAX_SERVERS, Session, SessionConfig
 
 CLASSES = ("cpu", "mem", "io")
 
@@ -117,6 +119,31 @@ class TestLifecycle:
         assert body["counters"]["service.sessions.created"] >= 1
 
 
+class TestWindowAllocationMetric:
+    def test_window_time_is_volatile_and_per_session(self, database):
+        obs = Observability()
+        with BackgroundService(database=database, obs=obs) as service:
+            sid = make_session(service, n_servers=2, coalesce=2)
+            service.request(
+                "POST", f"/v1/sessions/{sid}/requests", {"requests": request_docs(4)}
+            )
+            deadline = time.monotonic() + 30.0
+            while service.request("GET", f"/v1/sessions/{sid}")[1]["batches_completed"] < 2:
+                assert time.monotonic() < deadline, "batching loop never drained"
+                time.sleep(0.01)
+            status, snapshot = service.request("GET", "/v1/metrics")
+        assert status == 200
+        key = f'service.window_alloc_s{{session="{sid}"}}'
+        # The deterministic snapshot keeps the observation count only.
+        entry = snapshot["histograms"][key]
+        assert entry["volatile"] is True and entry["unit"] == "s"
+        assert entry["count"] >= 1
+        assert not {"sum", "min", "max", "mean", "buckets"} & set(entry)
+        full = obs.registry.snapshot(include_volatile=True)["histograms"][key]
+        assert full["count"] == entry["count"]
+        assert full["sum"] > 0.0
+
+
 class TestValidationParity:
     def test_bad_alpha_carries_the_cli_message(self, svc):
         # The service body and the CLI flag route through the same
@@ -129,6 +156,27 @@ class TestValidationParity:
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
         assert cli_message in body["error"]["message"]
+
+    def test_oversized_server_count_400(self, svc):
+        status, body = svc.request(
+            "POST", "/v1/sessions", {"n_servers": MAX_SERVERS + 1}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert f"n_servers must be at most {MAX_SERVERS}" in body["error"]["message"]
+
+    def test_oversized_server_count_restore_400(self, svc):
+        sid = make_session(svc, n_servers=2)
+        status, snapshot = svc.request("GET", f"/v1/sessions/{sid}/state")
+        assert status == 200
+        snapshot["config"]["n_servers"] = MAX_SERVERS + 1
+        status, body = svc.request("PUT", f"/v1/sessions/{sid}/state", snapshot)
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "n_servers must be at most" in body["error"]["message"]
+        status, info = svc.request("GET", f"/v1/sessions/{sid}")
+        assert info["config"]["n_servers"] == 2
+        svc.request("DELETE", f"/v1/sessions/{sid}")
 
     def test_unknown_config_key_400(self, svc):
         status, body = svc.request("POST", "/v1/sessions", {"servers": 4})

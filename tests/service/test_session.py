@@ -18,7 +18,7 @@ from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.faults.spec import FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.service import schema
-from repro.service.session import Session, SessionConfig
+from repro.service.session import MAX_SERVERS, Session, SessionConfig
 
 CLASSES = ("cpu", "mem", "io")
 
@@ -62,6 +62,15 @@ class TestSessionConfig:
     def test_non_boolean_strict_qos_rejected(self):
         with pytest.raises(SchemaError, match="'strict_qos' must be a boolean"):
             SessionConfig.from_document({"strict_qos": "yes"})
+
+    def test_server_count_is_bounded(self):
+        assert SessionConfig(n_servers=MAX_SERVERS).n_servers == MAX_SERVERS
+        with pytest.raises(ValueError, match=f"n_servers must be at most {MAX_SERVERS}"):
+            SessionConfig(n_servers=MAX_SERVERS + 1)
+
+    def test_oversized_server_count_document_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match=r"session config: n_servers must be at most"):
+            SessionConfig.from_document({"n_servers": 1_000_000})
 
     def test_document_round_trip(self):
         config = SessionConfig(n_servers=2, alpha=1.0, coalesce=3, max_queue=16)
@@ -214,6 +223,17 @@ class TestSnapshotRestore:
         broken["servers"][0]["allocated"] = {"ncpu": 1}  # missing nmem/nio
         with pytest.raises(SchemaError, match="nmem"):
             session.restore(broken)
+        assert session.state_document() == before
+
+    def test_restore_rejects_oversized_server_count(self, database):
+        session = new_session(database)
+        session.admit(requests(4))
+        session.run_ready_batches()
+        before = session.state_document()
+        oversized = json.loads(json.dumps(before))
+        oversized["config"]["n_servers"] = MAX_SERVERS + 1
+        with pytest.raises(SchemaError, match="n_servers must be at most"):
+            session.restore(oversized)
         assert session.state_document() == before
 
     def test_restore_rejects_server_count_mismatch(self, database):
