@@ -40,7 +40,12 @@ must sustain the required admitted-requests throughput (default
 request->plan latency must stay under an absolute ceiling (default
 50ms -- it measures a coalesce=1 round trip on loopback), and the
 identity checks -- same admitted sequence, chunked three ways, equal
-to the in-process session byte-for-byte -- must hold.
+to the in-process session byte-for-byte -- must hold.  Its
+``liveness`` section must show no window holding the event loop for
+more than ``LIVENESS_MAX_SLICE_S`` (5 ms) in one slice while a heavy
+tenant (coalesce-12 windows on 256 servers) runs beside a light one: a
+window that is not sliced holds the loop for its whole duration, about
+0.25 s.
 
 Additionally gates ``benchmarks/BENCH_sim.json`` (produced by
 ``benchmarks/bench_sim_scale.py``) when present: a 10-shard indexed run
@@ -98,6 +103,10 @@ ANYTIME_CEILINGS = {"16": 0.65, "32": 1.5}
 #: allowed ratio of the coalesce-12 session window p50 at the largest
 #: server count over the smallest (2,048 vs 64 servers).
 SCALING_RATIO = 2.0
+
+#: longest one window may hold the service's event loop in one slice
+#: (seconds), beside a heavy tenant.
+LIVENESS_MAX_SLICE_S = 0.005
 
 
 def load(path: Path) -> dict:
@@ -426,6 +435,25 @@ def main(argv=None) -> int:
             f"service: identity chunks={identity.get('chunks_identical')} "
             f"library={identity.get('library_identical')}"
         )
+        liveness = service.get("liveness")
+        if liveness is None:
+            failures.append(
+                "service: no liveness section -- rerun benchmarks/bench_service.py"
+            )
+        else:
+            held = liveness["max_slice_s"]
+            verdict = "OK"
+            if held > LIVENESS_MAX_SLICE_S:
+                verdict = "REGRESSION"
+                failures.append(
+                    f"service: a window held the event loop for {held * 1e3:.1f}ms "
+                    f"in one slice, above the {LIVENESS_MAX_SLICE_S * 1e3:.0f}ms "
+                    f"ceiling -- other tenants stall behind it"
+                )
+            print(
+                f"service: max slice {held * 1e3:8.2f}ms  ceiling "
+                f"{LIVENESS_MAX_SLICE_S * 1e3:8.0f}ms  {verdict}"
+            )
 
     if not args.lint.exists():
         print(

@@ -70,6 +70,7 @@ from repro.common.errors import (
     ModelLookupError,
     QoSViolationError,
 )
+from repro.common.steps import Steps, drain
 from repro.core.anytime import AnytimeConfig, AnytimeResult, run_anytime_search
 from repro.core.estimatecache import CacheStats, EstimateGrid, grid_for
 from repro.core.model import EstimatedOutcome, ModelDatabase
@@ -85,7 +86,7 @@ from repro.core.scoring import (
 # Deliberate exception to the core->obs.runtime ban: allocate() honours the
 # ambient bundle when none is injected, so `repro allocate --trace` observes
 # the search without callers threading state.  The hot path itself only sees
-# the injected/ambient handle (see _allocate_impl).
+# the injected/ambient handle (see _allocate_steps).
 # repro: allow layering-import -- ambient-observability fallback, see above
 from repro.obs.runtime import Observability, get_observability
 from repro.testbed.benchmarks import WorkloadClass
@@ -486,17 +487,43 @@ class ProactiveAllocator:
             (strict mode) capacity-feasible plans exist but all break
             some VM's deadline.
         """
+        return drain(self.allocate_steps(requests, servers))
+
+    def allocate_steps(
+        self,
+        requests: Sequence[VMRequest],
+        servers: Sequence[ServerState],
+    ) -> "Steps[AllocationPlan]":
+        """:meth:`allocate` as a resumable computation.
+
+        A generator that yields each partition after evaluating it, and
+        ``None`` at each dead end of the exact enumeration (see
+        :func:`repro.core.partitions.type_partitions`), and returns the
+        :class:`AllocationPlan`; ``allocate`` drains it, so the two are
+        one implementation.  The partitions yielded number the plan's
+        ``partitions_enumerated`` on the exact path and its
+        ``anytime_evaluated`` on the anytime path.  The caller may
+        suspend it at any yield -- the service interleaves windows of
+        several sessions this way -- so the ``allocator.allocate`` span
+        opens detached: interleaved searches never nest in the
+        tracer's span stack.  A time budget excludes the time spent
+        suspended (:meth:`repro.core.anytime.Deadline.pause`).
+        """
         obs = self._obs if self._obs is not None else get_observability()
         if not obs.enabled:
-            return self._allocate_impl(requests, servers, None)
+            return (yield from self._allocate_steps(requests, servers, None))
         span = obs.tracer.start(
             "allocator.allocate",
+            detached=True,
             n_vms=len(requests),
             n_servers=len(servers),
             alpha=self.alpha,
         )
         try:
-            plan = self._allocate_impl(requests, servers, obs)
+            plan = yield from self._allocate_steps(requests, servers, obs)
+        except GeneratorExit:
+            span.end(outcome="abandoned")
+            raise
         except Exception as exc:
             obs.registry.counter(
                 "allocator.errors", kind=type(exc).__name__
@@ -514,12 +541,12 @@ class ProactiveAllocator:
         )
         return plan
 
-    def _allocate_impl(
+    def _allocate_steps(
         self,
         requests: Sequence[VMRequest],
         servers: Sequence[ServerState],
         obs: Observability | None,
-    ) -> AllocationPlan:
+    ) -> "Steps[AllocationPlan]":
         if not requests:
             return AllocationPlan(
                 assignments=(),
@@ -548,7 +575,7 @@ class ProactiveAllocator:
 
         anytime_result: AnytimeResult | None = None
         if self._select_anytime(counts, obs):
-            anytime_result = self._stream_anytime(counts, state)
+            anytime_result = yield from self._stream_anytime(counts, state)
             if (state.compliant.count == 0 and state.fallback.count == 0) or (
                 self._strict_qos and state.compliant.count == 0
             ):
@@ -564,9 +591,9 @@ class ProactiveAllocator:
                 state.stats.anytime_rounds = prior.anytime_rounds
                 state.stats.anytime_evaluated = prior.anytime_evaluated
                 state.stats.anytime_budget_exhausted = prior.anytime_budget_exhausted
-                self._stream_candidates(counts, state)
+                yield from self._stream_candidates(counts, state)
         else:
-            self._stream_candidates(counts, state)
+            yield from self._stream_candidates(counts, state)
 
         stats = state.stats
         compliant = state.compliant
@@ -676,7 +703,9 @@ class ProactiveAllocator:
             obs.registry.counter("allocator.mode_checks", outcome=outcome).inc()
         return cached
 
-    def _stream_anytime(self, counts: MixKey, state: _SearchState) -> AnytimeResult:
+    def _stream_anytime(
+        self, counts: MixKey, state: _SearchState
+    ) -> "Steps[AnytimeResult]":
         """Run the bounded beam + local search, streaming every
         evaluated candidate into the same Pareto frontiers the exact
         path uses (so final scoring and tie-breaking are shared)."""
@@ -728,7 +757,9 @@ class ProactiveAllocator:
                 lb_e += block_lb_e
             return objective(lb_t, lb_e)
 
-        result = run_anytime_search(counts, bounds, config, evaluate, guidance)
+        result = yield from run_anytime_search(
+            counts, bounds, config, evaluate, guidance
+        )
         stats.anytime_rounds = result.rounds
         stats.anytime_evaluated = result.evaluated
         stats.anytime_budget_exhausted = result.budget_exhausted
@@ -919,12 +950,20 @@ class ProactiveAllocator:
             scans[((rc, rm, ri), max_vms)] = gains
         # The knapsack folds servers in one at a time, in server order,
         # so its float additions happen in the same order as a plain
-        # scan.
+        # scan.  A fold is a pure function of (best, gains): once
+        # folding a class's member leaves ``best`` unchanged, the next
+        # members of that class are skipped until another class changes
+        # it (equal lists may differ only in the sign of a zero, which
+        # no comparison of the bound sees).
         best = [0.0] + [-_INF] * n
+        settled: dict[tuple[MixKey, int | None], list[float]] = {}
         for server in state.servers:
-            gains = scans.get((server.allocated, server.max_vms))
+            key = (server.allocated, server.max_vms)
+            gains = scans.get(key)
             if gains is None:
                 continue  # off-grid
+            if settled.get(key) is best:
+                continue
             cap = len(gains) - 1
             new = [-_INF] * (n + 1)
             for total in range(n + 1):
@@ -941,7 +980,10 @@ class ProactiveAllocator:
                     if value > acc:
                         acc = value
                 new[total] = acc
-            best = new
+            if new == best:
+                settled[key] = best
+            else:
+                best = new
         return ub_time, best[n]
 
     def _block_info(self, block: MixKey, state: _SearchState):
@@ -1029,8 +1071,14 @@ class ProactiveAllocator:
             return compliant.min_time <= lb_t
         return compliant.min_energy <= lb_e
 
-    def _stream_candidates(self, counts: MixKey, state: _SearchState) -> None:
-        """Enumerate partitions, assign greedily, stream into frontiers."""
+    def _stream_candidates(self, counts: MixKey, state: _SearchState) -> "Steps[None]":
+        """Enumerate partitions, assign greedily, stream into frontiers.
+
+        Yields each enumerated partition after streaming it, and
+        ``None`` at each dead end of the enumeration (a pruned or
+        unfillable prefix): the dead subtrees between two partitions
+        can take milliseconds.
+        """
         bounds = self._db.grid_bounds
         stats = state.stats
 
@@ -1071,7 +1119,12 @@ class ProactiveAllocator:
                 return False
 
         produced = 0
-        for partition in type_partitions(counts, bounds, prune=prune):
+        for partition in type_partitions(
+            counts, bounds, prune=prune, yield_dead_ends=True
+        ):
+            if partition is None:
+                yield None
+                continue
             produced += 1
             if produced > self._max_candidates:
                 raise ConfigurationError(
@@ -1079,9 +1132,9 @@ class ProactiveAllocator:
                     f"candidates for mix {counts}; split the batch"
                 )
             candidate = self._assign_streamed(partition, state, abortable=True)
-            if candidate is None:
-                continue
-            self._offer(candidate, state)
+            if candidate is not None:
+                self._offer(candidate, state)
+            yield partition
         stats.partitions_enumerated += produced
 
     def _offer(self, candidate: "_Candidate", state: _SearchState) -> None:

@@ -26,6 +26,11 @@ never reads the clock, so auto-selected anytime mode stays
 reproducible.  The module knows nothing about servers or models: the
 allocator hands it ``evaluate``/``guidance`` callbacks, keeping the
 layering acyclic.
+
+The search is a generator that yields every partition it evaluates,
+so a caller sharing a thread (the service's event loop) can
+suspend it between evaluations; a budgeted search adds each suspension
+back onto its deadline (:meth:`Deadline.pause`).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import Callable, Iterable
 from repro.campaign.records import MixKey
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DEFAULT_SEED, SeedSequenceFactory
+from repro.common.steps import Steps
 from repro.core.partitions import candidate_blocks
 
 Partition = tuple[MixKey, ...]
@@ -47,6 +53,7 @@ Bounds = tuple[int, int, int]
 EvaluateFn = Callable[[Partition], "float | None"]
 # guidance(prefix, remaining) -> lower-bound score or None (dead prefix).
 GuidanceFn = Callable[[Partition, MixKey], "float | None"]
+ConsiderFn = Callable[[Partition], "Steps[None]"]
 
 _IMPROVEMENT_EPS = 1e-12
 
@@ -124,6 +131,23 @@ class Deadline:
         else:
             self._started = time.monotonic()  # repro: allow determinism-wallclock -- opt-in --time-budget deadline; never armed in deterministic mode
             self._expires = self._started + budget_s
+
+    def pause(self, value) -> "Steps[None]":
+        """Yield ``value`` once; the time suspended there does not count.
+
+        A search suspended between evaluations keeps the budget it
+        would have had driven straight through: both the start and the
+        expiry move forward by the suspension.  An unarmed deadline
+        yields without reading the clock.
+        """
+        if self._expires is None:
+            yield value
+            return
+        suspended = time.monotonic()  # repro: allow determinism-wallclock -- opt-in --time-budget deadline; never armed in deterministic mode
+        yield value
+        away = time.monotonic() - suspended  # repro: allow determinism-wallclock -- opt-in --time-budget deadline; never armed in deterministic mode
+        self._started += away
+        self._expires += away
 
     def expired(self) -> bool:
         if self._expires is None:
@@ -223,14 +247,16 @@ def _beam_search(
     bounds: Bounds,
     config: AnytimeConfig,
     guidance: GuidanceFn,
-    consider: Callable[[Partition], None],
+    consider: ConsiderFn,
     deadline: Deadline,
     result: AnytimeResult,
     rng,
-) -> None:
+) -> "Steps[None]":
     """Expand canonical partition prefixes level by level, keeping the
     ``beam_width`` most promising per level under the guidance bound."""
-    def greedy_complete(prefix: Partition, remaining: MixKey, ceiling: MixKey) -> None:
+    def greedy_complete(
+        prefix: Partition, remaining: MixKey, ceiling: MixKey
+    ) -> "Steps[None]":
         """Complete a prefix by repeatedly taking the guidance-best
         block, then evaluate the resulting partition.  Gives every
         surviving beam state a concrete candidate long before the beam
@@ -255,7 +281,7 @@ def _beam_search(
             prefix = prefix + (best_block,)
             remaining = best_rest
             ceiling = best_block
-        consider(prefix)
+        yield from consider(prefix)
 
     # state: (prefix, remaining, ceiling); ceiling starts at counts so
     # the first block is unconstrained, exactly as in type_partitions.
@@ -277,7 +303,7 @@ def _beam_search(
                 extended = prefix + (block,)
                 if rest == (0, 0, 0):
                     # Canonical complete partition: score it directly.
-                    consider(extended)
+                    yield from consider(extended)
                     if deadline.expired():
                         result.budget_exhausted = True
                         return
@@ -295,7 +321,7 @@ def _beam_search(
             if deadline.expired():
                 result.budget_exhausted = True
                 return
-            greedy_complete(prefix, remaining, ceiling)
+            yield from greedy_complete(prefix, remaining, ceiling)
 
 
 def _neighbors(partition: Partition, bounds: Bounds) -> list[Partition]:
@@ -386,11 +412,11 @@ def _local_round(
     incumbent: Partition,
     bounds: Bounds,
     config: AnytimeConfig,
-    consider: Callable[[Partition], None],
+    consider: ConsiderFn,
     deadline: Deadline,
     result: AnytimeResult,
     rng,
-) -> None:
+) -> "Steps[None]":
     """One refinement round: evaluate up to ``max_neighbors`` unseen
     neighbors of the incumbent in seeded random order."""
     neighbors = _neighbors(incumbent, bounds)
@@ -404,7 +430,7 @@ def _local_round(
         candidate = neighbors[int(index)]
         if candidate in result.seen:
             continue
-        consider(candidate)
+        yield from consider(candidate)
         fresh += 1
         if fresh >= config.max_neighbors:
             break
@@ -416,7 +442,7 @@ def run_anytime_search(
     config: AnytimeConfig,
     evaluate: EvaluateFn,
     guidance: GuidanceFn,
-) -> AnytimeResult:
+) -> "Steps[AnytimeResult]":
     """Run seeds -> beam -> local refinement; return the best partition
     found plus effort accounting.
 
@@ -424,6 +450,10 @@ def run_anytime_search(
     better) or returns None for infeasible ones; ``guidance`` gives an
     optimistic lower bound for a prefix or None to kill it.  Each
     partition is evaluated at most once.
+
+    A generator: it yields each partition after evaluating it and
+    returns the :class:`AnytimeResult`, so ``result.evaluated`` counts
+    its yields.
     """
     result = AnytimeResult()
     if counts == (0, 0, 0):
@@ -433,29 +463,29 @@ def run_anytime_search(
     deadline = Deadline(config.time_budget_s)
     factory = SeedSequenceFactory(config.seed)
 
-    def consider(partition: Partition) -> None:
+    def consider(partition: Partition) -> "Steps[None]":
         if partition in result.seen:
             return
         result.seen.add(partition)
         result.evaluated += 1
         score = evaluate(partition)
-        if score is None:
-            return
-        result.scored[partition] = score
-        if score < result.best_score - _IMPROVEMENT_EPS:
-            result.best_score = score
-            result.best_partition = partition
-            result.improved += 1
+        if score is not None:
+            result.scored[partition] = score
+            if score < result.best_score - _IMPROVEMENT_EPS:
+                result.best_score = score
+                result.best_partition = partition
+                result.improved += 1
+        yield from deadline.pause(partition)
 
     try:
         for partition in seed_partitions(counts, bounds):
             if deadline.expired():
                 result.budget_exhausted = True
                 return result
-            consider(partition)
+            yield from consider(partition)
 
         beam_rng = factory.child("allocator.anytime.0")
-        _beam_search(
+        yield from _beam_search(
             counts, bounds, config, guidance, consider, deadline, result, beam_rng
         )
 
@@ -485,7 +515,9 @@ def run_anytime_search(
             expanded.add(pick)
             result.rounds += 1
             round_rng = factory.child(f"allocator.anytime.{round_index}")
-            _local_round(pick, bounds, config, consider, deadline, result, round_rng)
+            yield from _local_round(
+                pick, bounds, config, consider, deadline, result, round_rng
+            )
     finally:
         result.budget_consumed_s = deadline.consumed_s()
     return result

@@ -134,7 +134,8 @@ def type_partitions(
     counts: MixKey,
     bounds: tuple[int, int, int] | None = None,
     prune: PrunePredicate | None = None,
-) -> Iterator[tuple[MixKey, ...]]:
+    yield_dead_ends: bool = False,
+) -> "Iterator[tuple[MixKey, ...] | None]":
     """Generate all multiset partitions of a typed VM batch.
 
     Parameters
@@ -153,6 +154,14 @@ def type_partitions(
         ``prefix`` is generated.  ``prefix`` is the generator's live
         working list -- callers must treat it as read-only and must not
         retain it across calls.
+    yield_dead_ends:
+        Also yield ``None`` at each dead end: a prefix ``prune`` cut,
+        or one whose remaining VMs no admissible block can take (a
+        CPU VM left once the ceiling has no CPU).  Dead subtrees can
+        take milliseconds between two partitions; a consumer that
+        suspends between items then never waits that long.  The
+        partitions, their order and the ``prune`` calls are the same
+        either way.
 
     Yields
     ------
@@ -182,11 +191,15 @@ def type_partitions(
 
     top = (ncpu, nmem, nio)
 
-    def recurse(remaining: MixKey, ceiling: MixKey, prefix: list[MixKey]) -> Iterator[tuple[MixKey, ...]]:
+    def recurse(
+        remaining: MixKey, ceiling: MixKey, prefix: list[MixKey]
+    ) -> "Iterator[tuple[MixKey, ...] | None]":
         if remaining == (0, 0, 0):
             yield tuple(prefix)
             return
+        dead_end = True
         for block in candidate_blocks(remaining, ceiling, bounds):
+            dead_end = False
             rest = (
                 remaining[0] - block[0],
                 remaining[1] - block[1],
@@ -195,7 +208,11 @@ def type_partitions(
             prefix.append(block)
             if prune is None or not prune(prefix, rest):
                 yield from recurse(rest, block, prefix)
+            elif yield_dead_ends:
+                yield None
             prefix.pop()
+        if dead_end and yield_dead_ends:
+            yield None
 
     yield from recurse(top, top, [])
 

@@ -24,15 +24,19 @@ re-queueing resident VMs, FIFO) reuses the PR 5 vocabulary:
 :func:`repro.faults.schedule.materialize` expands the spec into the
 same deterministic timeline the simulator would see.
 
-Everything here is synchronous and wall-clock free; the asyncio
-batching loop and all latency measurement live in
-:mod:`repro.service.server`.
+Everything here is wall-clock free.  Allocating a window is a
+resumable computation (:meth:`Session.window_steps`) that yields
+between evaluated partitions; :meth:`Session.run_ready_batches` and
+:meth:`Session.flush` run it straight through, and the asyncio batching
+loop in :mod:`repro.service.server` -- which also owns all latency
+measurement -- runs it in short slices between other tenants' work.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Mapping, Sequence
 
 from repro.common.errors import (
@@ -41,6 +45,7 @@ from repro.common.errors import (
     ModelLookupError,
     SchemaError,
 )
+from repro.common.steps import Steps, drain
 from repro.common.validation import (
     parse_alpha,
     parse_count,
@@ -189,9 +194,16 @@ class _Placement:
 class Session:
     """One tenant's streaming-allocation state machine.
 
-    All methods are synchronous and deterministic; the server's
-    single-threaded event loop calls them without locking (no method
-    yields control mid-mutation).
+    All methods are deterministic.  Every method except
+    :meth:`window_steps` runs to completion without yielding control.
+    A window's step generator may be suspended between partitions,
+    but it reads the session only when it starts and mutates it only
+    in one final commit.  While it is suspended the session is
+    therefore the pre-window state: admissions append behind the
+    window, and ``state_document`` shows the window's requests still
+    pending.  Callers that interleave windows with other mutations --
+    faults, restore, flush -- must serialise them (the server holds a
+    per-session lock for each whole window).
     """
 
     def __init__(
@@ -277,33 +289,58 @@ class Session:
         """Whether a full coalescing window is waiting to be allocated."""
         return len(self._pending) >= self.config.coalesce
 
+    def next_window_size(self, flush: bool = False) -> int:
+        """Size of the next window to allocate; 0 when there is none.
+
+        A full ``coalesce`` window when one is waiting; otherwise, with
+        ``flush``, the partial tail.
+        """
+        if self.window_ready():
+            return self.config.coalesce
+        return len(self._pending) if flush else 0
+
     def run_ready_batches(self) -> "list[BatchRecord]":
-        """Allocate every complete window (the batching loop's drain step)."""
-        records: list[BatchRecord] = []
-        while self.window_ready():
-            records.append(self._allocate_window(self.config.coalesce))
-        return records
+        """Allocate every complete window, each run straight through."""
+        return self._drain_windows(flush=False)
 
     def flush(self) -> "list[BatchRecord]":
         """Allocate all complete windows, then the partial tail (if any)."""
-        records = self.run_ready_batches()
-        if self._pending:
-            records.append(self._allocate_window(len(self._pending)))
+        return self._drain_windows(flush=True)
+
+    def _drain_windows(self, flush: bool) -> "list[BatchRecord]":
+        records: list[BatchRecord] = []
+        while size := self.next_window_size(flush):
+            records.append(drain(self.window_steps(size)))
         return records
 
-    def _allocate_window(self, size: int) -> BatchRecord:
-        batch = [self._pending.popleft() for _ in range(size)]
-        first_ordinal = self._next_ordinal
-        self._next_ordinal += size
+    def window_steps(self, size: int) -> "Steps[BatchRecord]":
+        """Allocate the ``size`` oldest pending requests as one window.
+
+        A generator: it yields what
+        :meth:`ProactiveAllocator.allocate_steps` yields (one short unit
+        of search work each) and returns the window's
+        :class:`BatchRecord`.  The session
+        changes only in the commit after the last yield -- the requests
+        leave the queue and ``next_ordinal`` advances there -- so a
+        snapshot taken while the window is suspended is consistent.
+        """
+        batch = list(islice(self._pending, size))
         eligible = [
             self._servers[server_id]
             for server_id in self._server_order
             if server_id not in self._failed
         ]
-        vm_ids = tuple(request.vm_id for request in batch)
         try:
-            plan = self._allocator.allocate(batch, eligible)
+            plan = yield from self._allocator.allocate_steps(batch, eligible)
         except (AllocationError, ModelLookupError) as error:
+            plan = None
+            failure = ("infeasible", str(error))
+        for _ in range(size):
+            self._pending.popleft()
+        first_ordinal = self._next_ordinal
+        self._next_ordinal += size
+        vm_ids = tuple(request.vm_id for request in batch)
+        if plan is None:
             # The window is recorded as failed and its requests dropped;
             # re-queueing would wedge the stream on the same error.
             for request in batch:
@@ -312,7 +349,7 @@ class Session:
                 index=self._batch_index_base + len(self.batches),
                 first_ordinal=first_ordinal,
                 vm_ids=vm_ids,
-                error=("infeasible", str(error)),
+                error=failure,
             )
             self.batches.append(record)
             self._note_batch(record, len(batch))

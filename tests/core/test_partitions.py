@@ -194,3 +194,38 @@ class TestPruneCallback:
 
     def test_prune_everything_yields_nothing(self):
         assert list(type_partitions((3, 2, 1), prune=lambda *_: True)) == []
+
+
+class TestDeadEnds:
+    def test_dead_ends_interleave_the_same_partitions_and_prune_calls(self):
+        def run(yield_dead_ends):
+            calls = []
+
+            def prune(prefix, remaining):
+                calls.append((tuple(prefix), remaining))
+                return prefix[-1] == (1, 1, 0)
+
+            items = list(
+                type_partitions(
+                    (3, 2, 1), (2, 2, 1), prune=prune, yield_dead_ends=yield_dead_ends
+                )
+            )
+            return items, calls
+
+        plain, plain_calls = run(False)
+        marked, marked_calls = run(True)
+        assert None not in plain
+        assert [item for item in marked if item is not None] == plain
+        assert marked_calls == plain_calls
+        # Pruned prefixes and unfillable ones both mark a dead end.
+        pruned = sum(1 for prefix, _ in plain_calls if prefix[-1] == (1, 1, 0))
+        assert marked.count(None) > pruned > 0
+
+    def test_unfillable_prefix_is_a_dead_end(self):
+        # After the (0, 1, 0) block the ceiling allows no CPU VM, so the
+        # prefix ((0, 1, 0),) can never place the batch's CPU VM.
+        items = list(type_partitions((1, 1, 0), yield_dead_ends=True))
+        assert [item for item in items if item is not None] == list(
+            type_partitions((1, 1, 0))
+        )
+        assert items.count(None) == 1

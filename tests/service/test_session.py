@@ -180,6 +180,52 @@ class TestCoalescingDeterminism:
                 )
 
 
+class TestWindowSteps:
+    """A window suspended between partitions leaves the session as it was."""
+
+    def test_suspended_window_keeps_the_pre_window_state(self, database):
+        session = new_session(database, n_servers=6)
+        session.admit(requests(4))
+        before = session.state_document()
+        steps = session.window_steps(session.next_window_size())
+        next(steps)
+        assert session.state_document() == before
+        assert session.batches == []
+        # Admissions land behind the in-flight window.
+        session.admit(requests(2, start=4))
+        for _ in steps:
+            pass
+        assert [record.vm_ids for record in session.batches] == [
+            tuple(f"vm{i}" for i in range(4))
+        ]
+        after = session.state_document()
+        assert after["next_ordinal"] == 4
+        assert [r["vm_id"] for r in after["pending"]] == ["vm4", "vm5"]
+
+    def test_stepped_windows_equal_straight_runs(self, database):
+        straight = new_session(database, n_servers=6)
+        straight.admit(requests(10))
+        straight.flush()
+        stepped = new_session(database, n_servers=6)
+        stepped.admit(requests(10))
+        yields = 0
+        while size := stepped.next_window_size(flush=True):
+            steps = stepped.window_steps(size)
+            for _ in steps:
+                yields += 1
+        assert yields > len(stepped.batches)
+        assert plan_bytes(stepped.batches) == plan_bytes(straight.batches)
+
+    def test_next_window_size(self, database):
+        session = new_session(database)
+        assert session.next_window_size() == session.next_window_size(True) == 0
+        session.admit(requests(5))
+        assert session.next_window_size() == 4
+        session.run_ready_batches()
+        assert session.next_window_size() == 0
+        assert session.next_window_size(flush=True) == 1
+
+
 class TestSnapshotRestore:
     def test_state_document_round_trips(self, database):
         session = new_session(database)
