@@ -54,8 +54,11 @@ factor at the 100k-VM scale (default 5x, chronicle-free legs on both
 sides).  The two legs are different simulated systems -- a sharded
 result is a function of the decomposition, and its energy is about
 0.5% lower at 100k VMs -- so the factor is not a like-for-like speedup
-of the indexed core.  Peak RSS of the 100k campaign must stay within
-the allowed multiple of the 10k campaign (default 1.2x -- the
+of the indexed core.  Its ``like_for_like`` leg (the indexed core,
+unsharded, on the same jobs as the naive one) must report
+``identical``: energy, makespan and every job outcome equal to the
+naive core's; a missing verdict fails too.  Peak RSS of the 100k
+campaign must stay within the allowed multiple of the 10k campaign (default 1.2x -- the
 streaming chronicle and job spooling keep the core's memory flat), and
 the merge-identity checks -- results bit-identical across worker
 counts, with and without fault injection -- must hold unconditionally.
@@ -519,6 +522,21 @@ def main(argv=None) -> int:
             f"({sim['scales'][base_scale]['peak_rss_mb']:.0f}MB -> "
             f"{sim['scales'][gate_scale]['peak_rss_mb']:.0f}MB)  {verdict}"
         )
+        like = sim.get("like_for_like", {})
+        verdict = "OK"
+        if like.get("identical") is not True:
+            verdict = "REGRESSION"
+            failures.append(
+                "sim: the like-for-like indexed leg is missing or differs from "
+                "the naive core (energy, makespan or job outcomes)"
+            )
+        if "speedup" in like:
+            print(
+                f"sim: like-for-like {like['speedup']:8.2f}x  (indexed unsharded "
+                f"{like['wall_s']:.2f}s, identical {like['identical']})  {verdict}"
+            )
+        else:
+            print(f"sim: like-for-like leg missing  {verdict}")
         identity = sim.get("identity", {})
         for check in ("workers", "workers_faulted"):
             if not identity.get(check, False):

@@ -38,7 +38,7 @@ from repro.sim.chronicle import ChronicleSpill
 from repro.sim.engine import EventQueue
 from repro.sim.index import ClusterIndex, ServerViews
 from repro.sim.metrics import JobOutcome, SimulationMetrics, compute_metrics
-from repro.sim.server import ServerRuntime
+from repro.sim.server import MixMemo, ServerRuntime
 from repro.sim.vm import SimVM, VMState
 from repro.strategies.base import AllocationStrategy, ServerView, VMDescriptor
 from repro.testbed.contention import ContentionParams
@@ -275,11 +275,13 @@ class DatacenterSimulator:
             if config.chronicle_spill_path is not None
             else None
         )
-        # In indexed mode every server with the same spec shares one
-        # mix-physics memo (the params are cluster-wide), multiplying
-        # the hit rate by the cluster size.  Naive mode recomputes every
-        # step, preserving the pre-index core as an honest baseline.
-        mix_caches: dict[int, dict] = {}
+        # Servers with the same spec share one mix-physics memo (the
+        # params are cluster-wide), multiplying the hit rate by the
+        # cluster size.  Naive mode recomputes every step, preserving
+        # the pre-index core as an honest baseline; its memos only track
+        # sequences, so both cores report the same sim.mix_memo_*
+        # counters.
+        mix_memos: dict[int, MixMemo] = {}
         servers = [
             ServerRuntime(
                 server_id=f"s{config.server_id_offset + i:04d}",
@@ -289,10 +291,8 @@ class DatacenterSimulator:
                 record_chronicle=config.record_chronicles,
                 chronicle_capacity=config.chronicle_capacity,
                 chronicle_spill=spill,
-                mix_cache=(
-                    mix_caches.setdefault(id(config.spec_of(i)), {})
-                    if config.indexed
-                    else False
+                mix_cache=mix_memos.setdefault(
+                    id(config.spec_of(i)), MixMemo(solves=config.indexed)
                 ),
                 signals=config.signals,
             )
@@ -811,6 +811,12 @@ class DatacenterSimulator:
             g_queue.set(0)
             g_powered.set(powered_count())
             registry.gauge("sim.max_queue_length", **label).set(max_queue_length)
+            registry.counter("sim.mix_memo_misses", **label).inc(
+                sum(memo.misses for memo in mix_memos.values())
+            )
+            registry.counter("sim.mix_memo_clears", **label).inc(
+                sum(memo.clears for memo in mix_memos.values())
+            )
         run_span.end(
             t_sim=end_time,
             n_outcomes=len(outcomes),

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.campaign.records import MixKey
 from repro.common.errors import SimulationError
 from repro.sim.vm import SimVM, VMState
-from repro.testbed.contention import ContentionParams, MixModel
+from repro.testbed.contention import ContentionParams, MixKind, MixModel
 from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec
 from repro.testbed.benchmarks import WorkloadClass
@@ -28,12 +28,74 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _EPSILON_S = 1e-9
 
-#: Mix-physics memo entries per cache before it is wholesale cleared.
-#: Clearing only costs recomputation; results are unaffected.  Sized
-#: above the working set of a 10k-VM campaign (~9k distinct mix
-#: sequences) so steady-state runs never thrash; at a few hundred
-#: bytes per entry the worst case stays in the tens of megabytes.
+#: Mix-physics memo entries per memo before it is wholesale cleared.
+#: Clearing only costs recomputation; results are unaffected.  The cap
+#: holds the whole working set of a 10k-VM campaign (~9k distinct mix
+#: sequences) but not of a 100k-VM one (~39k), which clears once and
+#: re-misses; raising it to ``1 << 17`` costs that campaign about 17%
+#: more peak RSS for a few percent of wall time.
 _MIX_CACHE_MAX = 32768
+
+
+class MixMemo:
+    """Bit-exact memo of mix physics, shareable between servers.
+
+    One memo serves servers with identical ``(spec, params)``.  It
+    holds
+
+    * ``kinds`` -- the kind table: one :class:`MixKind` per
+      ``(id(benchmark), in init phase)``, built on first sight.  Each
+      kind pins its view, hence its benchmark, so no id can be recycled
+      onto another spec while the memo lives;
+    * ``entries`` -- ``(slowdowns, power)`` per ordered tuple of kinds,
+      the exact floats the model produced on first sight of that
+      sequence.  The key is the *sequence*, not the multiset: the
+      model sums demands in VM-list order and float addition is
+      order-sensitive, so only an order-exact key keeps the results
+      equal to the naive reference.  Slowdowns are raw -- callers apply
+      the transient-fault factor, which varies independently of the
+      mix.
+
+    ``misses`` and ``clears`` count first sightings of a sequence and
+    wholesale clears at ``_MIX_CACHE_MAX``; both are deterministic per
+    run.  A memo built with ``solves=False`` (the naive reference's)
+    tracks sequences without solving them -- its entries are empty
+    tuples -- so both cores report the same counters while the naive
+    one still recomputes every step from fresh views.
+    """
+
+    __slots__ = ("kinds", "entries", "misses", "clears", "solves")
+
+    def __init__(self, solves: bool = True) -> None:
+        self.kinds: dict[tuple[int, bool], MixKind] = {}
+        self.entries: dict[tuple[MixKind, ...], tuple] = {}
+        self.misses = 0
+        self.clears = 0
+        self.solves = solves
+
+    def kind(self, vm: SimVM) -> MixKind:
+        key = (id(vm.benchmark), vm.stage == 0)
+        kind = self.kinds.get(key)
+        if kind is None:
+            kind = self.kinds[key] = MixKind(vm.active_view())
+        return kind
+
+    def physics(self, key: tuple[MixKind, ...], model: MixModel) -> tuple:
+        """``(slowdowns, power)`` of the mix with these kinds (in VM
+        order) under ``model``; ``()`` when the memo does not solve."""
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = ()
+            if self.solves:
+                slowdowns, loads = model.kind_physics(key)
+                power = instantaneous_power(loads, len(key), model.server.power)
+                entry = (tuple(slowdowns), power)
+            if len(self.entries) >= _MIX_CACHE_MAX:
+                self.entries.clear()
+                self.clears += 1
+            self.entries[key] = entry
+            self.misses += 1
+        return entry
 
 
 @dataclass(frozen=True)
@@ -79,13 +141,16 @@ class ServerRuntime:
         record_chronicle: bool = False,
         chronicle_capacity: int | None = None,
         chronicle_spill: "ChronicleSpill | None" = None,
-        mix_cache: "dict | bool" = True,
+        mix_cache: "MixMemo | bool" = True,
         signals: object | None = None,
     ):
         self.server_id = server_id
         self.spec = spec
         self._model = MixModel(spec, params)
         self._vms: list[SimVM] = []
+        # The memo kind of each hosted VM, in VM order: the ordered
+        # memo key, kept in step by _host/_unhost and stage transitions.
+        self._kinds: list[MixKind] = []
         self._ncpu = 0
         self._nmem = 0
         self._nio = 0
@@ -108,16 +173,18 @@ class ServerRuntime:
         self._slowdown_factor = 1.0
         self._cluster: "ClusterIndex | None" = None
         self._slot = -1
-        # Mix-physics memo (see _mix_physics).  True = private cache;
-        # a dict may be shared between servers with identical
+        # Mix-physics memo (see _mix_physics).  True = private memo;
+        # a MixMemo may be shared between servers with identical
         # (spec, params); False = recompute every step (the faithful
-        # pre-index reference used by DatacenterConfig(indexed=False)).
-        if mix_cache is True:
-            self._mix_cache: "dict | None" = {}
-        elif mix_cache is False:
-            self._mix_cache = None
+        # pre-index reference used by DatacenterConfig(indexed=False)),
+        # as does a shared MixMemo(solves=False).
+        if isinstance(mix_cache, MixMemo):
+            self._mix_memo = mix_cache
         else:
-            self._mix_cache = mix_cache
+            self._mix_memo = MixMemo(solves=mix_cache)
+        # The memo entry of the current mix; None after any change to
+        # the VM sequence or to a VM's stage (see _mix_physics).
+        self._physics: "tuple[tuple[float, ...], float] | None" = None
         if record_chronicle:
             from repro.sim.chronicle import Chronicle
 
@@ -145,6 +212,8 @@ class ServerRuntime:
 
     def _host(self, vm: SimVM) -> None:
         self._vms.append(vm)
+        self._kinds.append(self._mix_memo.kind(vm))
+        self._physics = None
         cls = vm.workload_class
         if cls is WorkloadClass.CPU:
             self._ncpu += 1
@@ -156,7 +225,12 @@ class ServerRuntime:
             self._cluster.on_host(self._slot)
 
     def _unhost(self, vm: SimVM) -> None:
-        self._vms.remove(vm)  # ValueError propagates to the caller
+        # By identity: field-equal VMs are distinct tenants.  ValueError
+        # propagates to the caller.
+        i = list(map(id, self._vms)).index(id(vm))
+        del self._vms[i]
+        del self._kinds[i]
+        self._physics = None
         cls = vm.workload_class
         if cls is WorkloadClass.CPU:
             self._ncpu -= 1
@@ -218,51 +292,32 @@ class ServerRuntime:
         """Instantaneous draw under the current mix (0 when off)."""
         if not self.powered_on:
             return 0.0
-        return self._mix_physics()[2]
+        return self._mix_physics()[1]
 
     def _mix_physics(self) -> tuple:
-        """(slowdowns, loads, power) for the current mix, memoized
-        bit-exactly.
+        """(slowdowns, power) for the current mix, memoized bit-exactly.
 
         The contention model is a pure function of the per-VM active
         views, and a view is determined by ``(benchmark, stage
         bucket)`` -- there are only a handful of distinct view kinds,
         so mix sequences repeat heavily across integration steps and,
-        under a shared cache, across servers.  A hit returns the exact
-        floats the model produced on first sight of that key (and
-        skips building the view objects entirely), so memoization
-        cannot perturb results.
-
-        The key carries ``id(benchmark)`` rather than the (unhashable)
-        spec; the cached value pins the views tuple so no benchmark id
-        can be recycled onto a different spec while its key is live.
-        The key is the *sequence* of kinds, not the multiset: the
-        model sums demands in VM-list order, and float addition is
-        order-sensitive, so only an order-exact key preserves the
-        bit-identity contract with the naive reference.  Slowdowns are
-        cached raw -- callers apply the transient-fault
-        ``_slowdown_factor``, which varies independently of the mix.
+        under a shared :class:`MixMemo`, across servers.  A hit returns
+        the exact floats the model produced on first sight of that
+        sequence, so memoization cannot perturb results.  The server
+        also keeps the entry of its current mix until ``_host``,
+        ``_unhost`` or a stage transition in :meth:`sync` drops it, so
+        steps that do not change the mix skip even the memo lookup.
         """
-        cache = self._mix_cache
-        if cache is None:
-            views = [vm.active_view() for vm in self._vms]
-            slowdowns = self._model.slowdowns(views)
-            loads = self._model.subsystem_loads(views)
-            power = instantaneous_power(loads, len(views), self.spec.power)
-            return slowdowns, loads, power
-        key = tuple(
-            (id(vm.benchmark), vm.stage == 0) for vm in self._vms
-        )
-        hit = cache.get(key)
-        if hit is None:
-            views = [vm.active_view() for vm in self._vms]
-            slowdowns, loads = self._model.slowdowns_and_loads(views)
-            power = instantaneous_power(loads, len(views), self.spec.power)
-            if len(cache) >= _MIX_CACHE_MAX:
-                cache.clear()
-            hit = (slowdowns, loads, power, tuple(views))
-            cache[key] = hit
-        return hit
+        memo = self._mix_memo
+        physics = self._physics
+        if physics is None:
+            physics = self._physics = memo.physics(tuple(self._kinds), self._model)
+        if memo.solves:
+            return physics
+        views = [vm.active_view() for vm in self._vms]
+        slowdowns = self._model.slowdowns(views)
+        loads = self._model.subsystem_loads(views)
+        return slowdowns, instantaneous_power(loads, len(views), self.spec.power)
 
     # -- integration -----------------------------------------------------
 
@@ -301,13 +356,15 @@ class ServerRuntime:
                             self.chronicle.record(t, now_s, (0, 0, 0), idle_power, ())
                 t = now_s
                 break
-            physics = self._mix_physics()
-            # Multiplying by the (usually 1.0) transient-fault factor is
-            # exact, so the unfaulted path is bit-identical to before.
-            slowdowns = [s * self._slowdown_factor for s in physics[0]]
-            power = physics[2]
+            vms = self._vms
+            slowdowns, power = self._mix_physics()
+            # Multiplying by the transient-fault factor is exact when it
+            # is 1.0, so the unfaulted path skips the product.
+            factor = self._slowdown_factor
+            if factor != 1.0:  # repro: allow float-equality -- x * 1.0 == x exactly
+                slowdowns = [s * factor for s in slowdowns]
             next_boundary = min(
-                vm.remaining[vm.stage] * s for vm, s in zip(self._vms, slowdowns)
+                [vm.remaining[vm.stage] * s for vm, s in zip(vms, slowdowns)]
             )
             step = min(now_s - t, max(next_boundary, _EPSILON_S))
             self._busy_energy_j += power * step
@@ -317,14 +374,33 @@ class ServerRuntime:
                 self._cost += cost
             if self.chronicle is not None:
                 self.chronicle.record(
-                    t, t + step, self.mix_key(), power, [vm.vm_id for vm in self._vms]
+                    t, t + step, self.mix_key(), power, [vm.vm_id for vm in vms]
                 )
-            for vm, slowdown in zip(self._vms, slowdowns):
-                vm.advance(step, slowdown, _EPSILON_S)
-            for vm in list(self._vms):
-                if vm.done:
-                    finished.append(vm)
-                    self._unhost(vm)
+            # SimVM.advance, inlined: the same arithmetic and guard.
+            any_done = False
+            for i, slowdown in enumerate(slowdowns):
+                vm = vms[i]
+                stage = vm.stage
+                if stage >= 2:
+                    raise SimulationError(f"advancing finished VM {vm.vm_id}")
+                remaining = vm.remaining
+                remaining[stage] -= step / slowdown
+                if remaining[stage] <= _EPSILON_S:
+                    remaining[stage] = 0.0
+                    stage += 1
+                    while stage < 2 and remaining[stage] <= 0.0:
+                        stage += 1
+                    vm.stage = stage
+                    self._physics = None
+                    if stage >= 2:
+                        any_done = True
+                    else:
+                        self._kinds[i] = self._mix_memo.kind(vm)
+            if any_done:
+                for vm in list(vms):
+                    if vm.done:
+                        finished.append(vm)
+                        self._unhost(vm)
             t += step
         if finished:
             # The mix changed: outstanding boundary predictions are stale.
@@ -410,12 +486,10 @@ class ServerRuntime:
         if not self._vms:
             return None
         slowdowns = self._mix_physics()[0]
-        earliest = None
-        for vm, slowdown in zip(self._vms, slowdowns):
-            eta = vm.remaining[vm.stage] * slowdown * self._slowdown_factor
-            if earliest is None or eta < earliest:
-                earliest = eta
-        assert earliest is not None
+        factor = self._slowdown_factor
+        earliest = min(
+            [vm.remaining[vm.stage] * s * factor for vm, s in zip(self._vms, slowdowns)]
+        )
         return now_s + max(earliest, _EPSILON_S)
 
     # -- power management -------------------------------------------------

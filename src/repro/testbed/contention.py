@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.testbed.benchmarks import BenchmarkSpec, WorkloadClass
+from repro.testbed.benchmarks import WORKLOAD_CLASSES, BenchmarkSpec, WorkloadClass
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec, Subsystem
 
 
@@ -106,6 +106,57 @@ class ActiveVM:
         return self.benchmark.demand(subsystem) * self.demand_scale
 
 
+class MixKind:
+    """The per-VM constants of one view kind, computed once.
+
+    Everything the model reads off a single :class:`ActiveVM` depends
+    only on its ``(benchmark, demand_scale, contended)``: the demand
+    vector (in ``SUBSYSTEMS`` order), the resident set, the workload
+    class (as its index in ``WORKLOAD_CLASSES``) and the bottleneck
+    weights ``demand_s / total_demand``.  Each value is produced by the
+    exact expression the naive methods evaluate, so a mix solved from
+    kinds (:meth:`MixModel.kind_physics`) adds and multiplies the same
+    floats as one solved from views.
+
+    ``view`` is the shared view the constants came from; holding it
+    keeps the benchmark alive, so tables keyed by ``id(benchmark)``
+    stay valid for as long as they hold the kind.  Kinds compare and
+    hash by identity (no Python-level ``__eq__``/``__hash__``), which
+    keeps tuples of kinds cheap to use as dictionary keys.
+    """
+
+    __slots__ = ("view", "demands", "ram_gb", "class_index", "contended", "weights")
+
+    def __init__(self, view: ActiveVM):
+        self.view = view
+        self.demands = tuple(view.demand(s) for s in SUBSYSTEMS)
+        self.ram_gb = view.benchmark.ram_gb
+        #: Position of the workload class in ``WORKLOAD_CLASSES``.
+        self.class_index = WORKLOAD_CLASSES.index(view.benchmark.workload_class)
+        self.contended = view.contended
+        total_demand = sum(self.demands)
+        #: ``(subsystem index, weight)`` for every demanded subsystem;
+        #: None when the view demands nothing (stretch 1.0).
+        self.weights: tuple[tuple[int, float], ...] | None = (
+            None
+            if total_demand <= 0.0
+            else tuple(
+                (i, demand / total_demand)
+                for i, demand in enumerate(self.demands)
+                if demand > 0.0
+            )
+        )
+
+    def stretch(self, loads: Sequence[float]) -> float:
+        """:meth:`MixModel.bottleneck_factor` over loads in ``SUBSYSTEMS`` order."""
+        if self.weights is None:
+            return 1.0
+        stretch = 0.0
+        for i, weight in self.weights:
+            stretch += weight * max(1.0, loads[i])
+        return stretch
+
+
 class MixModel:
     """Evaluates loads, slowdowns and power-relevant state for one mix.
 
@@ -143,17 +194,26 @@ class MixModel:
         1.0 while the mix fits in guest-usable RAM; grows
         superlinearly (coeff * excess_gb ** exponent) beyond it.
         """
-        excess = self.ram_occupancy_gb(mix) - self._server.usable_ram_gb
+        return self._thrash(self.ram_occupancy_gb(mix))
+
+    def _thrash(self, ram_occupancy_gb: float) -> float:
+        excess = ram_occupancy_gb - self._server.usable_ram_gb
         if excess <= 0.0:
             return 1.0
         return 1.0 + self._params.thrash_coeff * excess**self._params.thrash_exponent
 
     def virt_factor(self, mix: Sequence[ActiveVM]) -> float:
         """Hypervisor overhead multiplier for an ``n``-VM mix, >= 1.0."""
-        n = len(mix)
+        return self._virt(len(mix))
+
+    def _virt(self, n: int) -> float:
         if n <= 1:
             return 1.0
         return 1.0 + self._params.virt_overhead_per_vm * (n - 1)
+
+    def _interference(self, same: int, cross: int) -> float:
+        p = self._params
+        return 1.0 + p.same_class_interference * same + p.cross_class_interference * cross
 
     def interference_factor(self, vm: ActiveVM, mix: Sequence[ActiveVM]) -> float:
         """Pairwise cache/scheduler interference multiplier for ``vm``.
@@ -176,8 +236,7 @@ class MixModel:
                 cross += 1
         if not seen_self:
             raise ValueError("vm must be a member of mix")
-        p = self._params
-        return 1.0 + p.same_class_interference * same + p.cross_class_interference * cross
+        return self._interference(same, cross)
 
     def bottleneck_factor(self, vm: ActiveVM, loads: Mapping[Subsystem, float]) -> float:
         """Demand-weighted stretch for ``vm`` under precomputed loads.
@@ -228,15 +287,12 @@ class MixModel:
             cls = vm.benchmark.workload_class
             class_counts[cls] = class_counts.get(cls, 0) + 1
         n = len(mix)
-        p = self._params
         for vm in mix:
             if not vm.contended:
                 result.append(virt)
                 continue
-            cls = vm.benchmark.workload_class
-            same = class_counts[cls] - 1
-            cross = n - 1 - same
-            interference = 1.0 + p.same_class_interference * same + p.cross_class_interference * cross
+            same = class_counts[vm.benchmark.workload_class] - 1
+            interference = self._interference(same, n - 1 - same)
             result.append(self.bottleneck_factor(vm, loads) * interference * thrash * virt)
         return result
 
@@ -246,59 +302,60 @@ class MixModel:
         """Slowdowns plus the loads they were derived from, bit-exactly.
 
         The fast sibling of calling :meth:`slowdowns` and
-        :meth:`subsystem_loads` separately, for callers that need both
-        (the server integrator also prices power off the loads).  Two
-        VMs whose views agree on ``(benchmark, demand_scale)`` have
-        identical demand vectors and bottleneck factors, so each
-        distinct kind is evaluated once and its floats reused for
-        every duplicate.  Reused values are the exact floats the naive
-        formulas produce, and the load sums add the same addends in
-        the same VM order, so the pair equals the naive results bit
-        for bit -- asserted exhaustively in
-        ``tests/testbed/test_contention.py``.
+        :meth:`subsystem_loads` separately: the views are grouped into
+        :class:`MixKind` s (one per distinct ``(benchmark,
+        demand_scale, contended)``) and the mix is solved by
+        :meth:`kind_physics`.
         """
-        if not mix:
-            return [], self.subsystem_loads(mix)
-        # Per-kind demand vectors; sums run in VM order over cached
-        # addends, which leaves every float addition unchanged.
-        kind_demands: dict[tuple[int, float], tuple[float, ...]] = {}
-        per_vm_demands: list[tuple[float, ...]] = []
+        kinds: dict[tuple[int, float, bool], MixKind] = {}
+        sequence = []
         for vm in mix:
-            kind = (id(vm.benchmark), vm.demand_scale)
-            demands = kind_demands.get(kind)
-            if demands is None:
-                demands = tuple(vm.demand(s) for s in SUBSYSTEMS)
-                kind_demands[kind] = demands
-            per_vm_demands.append(demands)
+            key = (id(vm.benchmark), vm.demand_scale, vm.contended)
+            kind = kinds.get(key)
+            if kind is None:
+                kind = kinds[key] = MixKind(vm)
+            sequence.append(kind)
+        return self.kind_physics(sequence)
+
+    def kind_physics(
+        self, kinds: Sequence[MixKind]
+    ) -> tuple[list[float], Mapping[Subsystem, float]]:
+        """Slowdowns and loads of the mix whose VMs have these kinds.
+
+        Equal to :meth:`slowdowns` and :meth:`subsystem_loads` of the
+        kinds' views bit for bit: every sum adds the same addends in
+        the same VM order through ``sum()``, and every product
+        multiplies the same factors in the same order.  Only the
+        per-VM work is shared -- each kind's demands and weights come
+        precomputed, and its slowdown is evaluated once per mix and
+        reused for its duplicates.  Asserted in
+        ``tests/testbed/test_contention.py`` and
+        ``tests/properties/test_physics_prop.py``.
+        """
+        if not kinds:
+            return [], self.subsystem_loads(())
         server = self._server
-        loads: dict[Subsystem, float] = {}
-        for i, subsystem in enumerate(SUBSYSTEMS):
-            total = sum(d[i] for d in per_vm_demands)
-            loads[subsystem] = total / server.capacity(subsystem)
-        virt = self.virt_factor(mix)
-        thrash = self.thrash_factor(mix)
-        class_counts: dict[WorkloadClass, int] = {}
-        for vm in mix:
-            cls = vm.benchmark.workload_class
-            class_counts[cls] = class_counts.get(cls, 0) + 1
-        n = len(mix)
-        p = self._params
+        load_list = [
+            sum(column) / server.capacity(subsystem)
+            for subsystem, column in zip(SUBSYSTEMS, zip(*[k.demands for k in kinds]))
+        ]
+        n = len(kinds)
+        virt = self._virt(n)
+        thrash = self._thrash(sum([k.ram_gb for k in kinds]))
+        class_counts = [0] * len(WORKLOAD_CLASSES)
+        for kind in kinds:
+            class_counts[kind.class_index] += 1
         result: list[float] = []
-        kind_slowdowns: dict[tuple[int, float], float] = {}
-        for vm in mix:
-            if not vm.contended:
+        kind_slowdowns: dict[MixKind, float] = {}
+        for kind in kinds:
+            if not kind.contended:
                 result.append(virt)
                 continue
-            kind = (id(vm.benchmark), vm.demand_scale)
             value = kind_slowdowns.get(kind)
             if value is None:
-                cls = vm.benchmark.workload_class
-                same = class_counts[cls] - 1
-                cross = n - 1 - same
-                interference = (
-                    1.0 + p.same_class_interference * same + p.cross_class_interference * cross
-                )
-                value = self.bottleneck_factor(vm, loads) * interference * thrash * virt
+                same = class_counts[kind.class_index] - 1
+                interference = self._interference(same, n - 1 - same)
+                value = kind.stretch(load_list) * interference * thrash * virt
                 kind_slowdowns[kind] = value
             result.append(value)
-        return result, loads
+        return result, dict(zip(SUBSYSTEMS, load_list))

@@ -12,7 +12,7 @@ can rely on a dense, chronologically sorted trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.workloads.swf import JobStatus, SWFRecord
@@ -78,7 +78,7 @@ def clean_trace(records: Sequence[SWFRecord]) -> tuple[list[SWFRecord], CleanRep
     if kept:
         base = kept[0].submit_time
         kept = [
-            replace(record, submit_time=record.submit_time - base, job_number=index)
+            record.renumbered(index, record.submit_time - base)
             for index, record in enumerate(kept, start=1)
         ]
     report = CleanReport(

@@ -72,6 +72,16 @@ class SWFRecord:
     def completed(self) -> bool:
         return self.status == JobStatus.COMPLETED
 
+    def renumbered(self, job_number: int, submit_time: int) -> "SWFRecord":
+        """A copy with a new job number and submit time.
+
+        Equal to ``replace(self, job_number=..., submit_time=...)``;
+        built directly because merging and cleaning renumber every
+        record of a trace, where ``replace``'s per-call field
+        introspection dominates.
+        """
+        return SWFRecord(job_number, submit_time, *self.as_fields()[2:])
+
     def shifted(self, delta_s: int) -> "SWFRecord":
         """A copy with the submit time shifted by ``delta_s`` seconds."""
         return replace(self, submit_time=self.submit_time + delta_s)
@@ -163,4 +173,7 @@ def merge_swf(traces: Sequence[Sequence[SWFRecord]]) -> list[SWFRecord]:
         (record for trace in traces for record in trace),
         key=lambda r: r.submit_time,
     )
-    return [replace(record, job_number=index) for index, record in enumerate(merged, start=1)]
+    return [
+        record.renumbered(index, record.submit_time)
+        for index, record in enumerate(merged, start=1)
+    ]

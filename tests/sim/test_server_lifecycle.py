@@ -42,6 +42,18 @@ class TestDetach:
         with pytest.raises(SimulationError, match="without sync"):
             server.detach_vm(vm, 500.0)
 
+    def test_detach_removes_by_identity_not_equality(self, server):
+        # Field-equal VMs are distinct tenants: detaching the second
+        # must leave the first hosted.
+        first, second = make_vm("twin"), make_vm("twin")
+        assert first == second and first is not second
+        server.attach_vm(first, 0.0)
+        server.attach_vm(second, 0.0)
+        server.detach_vm(second, 0.0)
+        assert len(server.vms) == 1 and server.vms[0] is first
+        with pytest.raises(SimulationError, match="not hosted"):
+            server.detach_vm(second, 0.0)
+
     def test_detach_powers_off_empty_server(self, server):
         vm = make_vm()
         server.add_vm(vm, 0.0)

@@ -1,5 +1,7 @@
 """Unit tests for the SWF reader/writer/merger."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import TraceFormatError
@@ -94,3 +96,53 @@ class TestMerge:
     def test_merge_empty(self):
         assert merge_swf([]) == []
         assert merge_swf([[], []]) == []
+
+
+class TestRenumbering:
+    """Merging and cleaning build renumbered records directly; they must
+    equal the ``dataclasses.replace`` copies field for field."""
+
+    @staticmethod
+    def site_traces():
+        from repro.workloads.rawlogs import parse_raw_log, raw_log_to_swf
+        from repro.workloads.synthetic import EGEETraceConfig, generate_raw_grid_logs
+
+        logs = generate_raw_grid_logs(EGEETraceConfig(n_jobs=400), rng=20110516)
+        return [raw_log_to_swf(parse_raw_log(lines, dialect)) for dialect, lines in logs]
+
+    def test_renumbered_equals_replace(self):
+        original = record(job=7, submit=40, run=9, procs=3)
+        copy = original.renumbered(2, 15)
+        assert copy == replace(original, job_number=2, submit_time=15)
+        assert copy.as_fields()[2:] == original.as_fields()[2:]
+
+    def test_merge_matches_replace_on_generated_trace(self):
+        traces = self.site_traces()
+        ordered = sorted(
+            (r for trace in traces for r in trace), key=lambda r: r.submit_time
+        )
+        expected = [replace(r, job_number=i) for i, r in enumerate(ordered, start=1)]
+        merged = merge_swf(traces)
+        assert len(merged) == len(expected) > 0
+        assert [r.as_fields() for r in merged] == [r.as_fields() for r in expected]
+
+    def test_clean_matches_replace_on_generated_trace(self):
+        from repro.workloads.cleaning import _is_anomalous, clean_trace
+
+        merged = merge_swf(self.site_traces())
+        survivors = sorted(
+            (
+                r
+                for r in merged
+                if r.job_status is JobStatus.COMPLETED and not _is_anomalous(r)
+            ),
+            key=lambda r: r.submit_time,
+        )
+        base = survivors[0].submit_time
+        expected = [
+            replace(r, submit_time=r.submit_time - base, job_number=i)
+            for i, r in enumerate(survivors, start=1)
+        ]
+        cleaned, _report = clean_trace(merged)
+        assert len(cleaned) == len(expected) < len(merged)
+        assert [r.as_fields() for r in cleaned] == [r.as_fields() for r in expected]
