@@ -19,9 +19,10 @@ Properties gated by ``scripts/check_bench_regression.py``:
   the two legs simulate different systems.  All shards run with
   ``workers=1``, so none of the factor comes from extra CPUs.
 * **like for like**: naive wall / indexed unsharded wall on the same
-  jobs (``like_for_like``).  Both legs simulate the same system, and
-  ``identical`` records whether energy, makespan and every job outcome
-  are equal to the naive leg's; the gate fails unless they are.
+  jobs (``like_for_like``, >= 5x by default).  Both legs simulate the
+  same system, and ``identical`` records whether energy, makespan and
+  every job outcome are equal to the naive leg's; the gate fails unless
+  they are.
 * **memory flatness**: peak RSS of the 100k campaign within 1.2x of
   the 10k campaign.  The measured child holds the prepared jobs
   (O(jobs), inherent to the workload) and the campaign itself; the

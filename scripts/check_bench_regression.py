@@ -48,16 +48,17 @@ window that is not sliced holds the loop for its whole duration, about
 0.25 s.
 
 Additionally gates ``benchmarks/BENCH_sim.json`` (produced by
-``benchmarks/bench_sim_scale.py``) when present: a 10-shard indexed run
-must beat an unsharded run of the retained naive core by the required
-factor at the 100k-VM scale (default 5x, chronicle-free legs on both
-sides).  The two legs are different simulated systems -- a sharded
+``benchmarks/bench_sim_scale.py``) when present.  Its ``like_for_like``
+leg (the indexed core, unsharded, on the same jobs as an unsharded run
+of the retained naive core at the 100k-VM scale) must beat the naive
+run by the required factor (default 5x) and report ``identical``:
+energy, makespan and every job outcome equal to the naive core's; a
+missing leg, speedup or verdict fails.  The 10-shard indexed run must
+also beat the naive run by the same factor (chronicle-free legs on
+both sides); the two are different simulated systems -- a sharded
 result is a function of the decomposition, and its energy is about
-0.5% lower at 100k VMs -- so the factor is not a like-for-like speedup
-of the indexed core.  Its ``like_for_like`` leg (the indexed core,
-unsharded, on the same jobs as the naive one) must report
-``identical``: energy, makespan and every job outcome equal to the
-naive core's; a missing verdict fails too.  Peak RSS of the 100k
+0.5% lower at 100k VMs -- so that factor is not a like-for-like
+speedup of the indexed core, only a bound on it.  Peak RSS of the 100k
 campaign must stay within the allowed multiple of the 10k campaign (default 1.2x -- the
 streaming chronicle and job spooling keep the core's memory flat), and
 the merge-identity checks -- results bit-identical across worker
@@ -181,8 +182,9 @@ def main(argv=None) -> int:
         "--sim-speedup",
         type=float,
         default=5.0,
-        help="required sharded-indexed over naive wall-time factor at the "
-        "gate scale (default 5.0)",
+        help="required wall-time factor over the naive core at the gate "
+        "scale, for both the like-for-like indexed leg and the sharded "
+        "run (default 5.0)",
     )
     parser.add_argument(
         "--sim-rss-ratio",
@@ -502,7 +504,7 @@ def main(argv=None) -> int:
                 f"{gate_row['nochron_wall_s']:.2f}s)"
             )
         print(
-            f"sim: speedup {speedup:8.2f}x  required "
+            f"sim: sharded speedup {speedup:8.2f}x  required "
             f"{args.sim_speedup:8.1f}x  ({gate_scale} VMs, "
             f"naive {sim['naive']['wall_s']:.2f}s)  {verdict}"
         )
@@ -530,13 +532,24 @@ def main(argv=None) -> int:
                 "sim: the like-for-like indexed leg is missing or differs from "
                 "the naive core (energy, makespan or job outcomes)"
             )
-        if "speedup" in like:
-            print(
-                f"sim: like-for-like {like['speedup']:8.2f}x  (indexed unsharded "
-                f"{like['wall_s']:.2f}s, identical {like['identical']})  {verdict}"
-            )
+        if "speedup" not in like:
+            verdict = "REGRESSION"
+            failures.append("sim: the like-for-like leg has no speedup")
+            print(f"sim: like-for-like speedup missing  {verdict}")
         else:
-            print(f"sim: like-for-like leg missing  {verdict}")
+            if like["speedup"] < args.sim_speedup:
+                verdict = "REGRESSION"
+                failures.append(
+                    f"sim: like-for-like {like['speedup']:.2f}x over the naive "
+                    f"core at the {gate_scale}-VM scale, below the required "
+                    f"{args.sim_speedup:.1f}x (naive {sim['naive']['wall_s']:.2f}s, "
+                    f"indexed unsharded {like['wall_s']:.2f}s)"
+                )
+            print(
+                f"sim: like-for-like {like['speedup']:8.2f}x  required "
+                f"{args.sim_speedup:8.1f}x  (indexed unsharded "
+                f"{like['wall_s']:.2f}s, identical {like.get('identical')})  {verdict}"
+            )
         identity = sim.get("identity", {})
         for check in ("workers", "workers_faulted"):
             if not identity.get(check, False):

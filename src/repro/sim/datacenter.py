@@ -36,13 +36,13 @@ from repro.faults import (
 from repro.obs.runtime import Observability, get_observability
 from repro.sim.chronicle import ChronicleSpill
 from repro.sim.engine import EventQueue
-from repro.sim.index import ClusterIndex, ServerViews
+from repro.sim.index import IndexedClusterView, NaiveClusterView
 from repro.sim.metrics import JobOutcome, SimulationMetrics, compute_metrics
 from repro.sim.server import MixMemo, ServerRuntime
 from repro.sim.vm import SimVM, VMState
-from repro.strategies.base import AllocationStrategy, ServerView, VMDescriptor
+from repro.strategies.base import AllocationStrategy, VMDescriptor
 from repro.testbed.contention import ContentionParams
-from repro.testbed.spec import ServerSpec, Subsystem, default_server
+from repro.testbed.spec import ServerSpec, default_server
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
 
@@ -179,13 +179,34 @@ class SimulationResult:
 class _JobTracker:
     """Mutable per-job completion bookkeeping."""
 
-    __slots__ = ("job", "vms", "unfinished", "completion_s")
+    __slots__ = ("job", "vms", "unfinished")
 
-    def __init__(self, job: PreparedJob, vms: list[SimVM]):
+    def __init__(self, job: PreparedJob, deadline_s: float):
         self.job = job
-        self.vms = vms
-        self.unfinished = len(vms)
-        self.completion_s = float("nan")
+        self.vms = [
+            SimVM(
+                vm_id=f"j{job.job_id}-{k}",
+                job_id=job.job_id,
+                workload_class=job.workload_class,
+                submit_time_s=job.submit_time_s,
+                deadline_s=deadline_s,
+            )
+            for k in range(job.n_vms)
+        ]
+        self.unfinished = job.n_vms
+
+
+def _descriptors(vms: Sequence[SimVM], now: float) -> list[VMDescriptor]:
+    return [
+        VMDescriptor(
+            vm_id=vm.vm_id,
+            workload_class=vm.workload_class,
+            remaining_deadline_s=(
+                None if math.isinf(vm.deadline_s) else max(vm.deadline_s - now, 0.0)
+            ),
+        )
+        for vm in vms
+    ]
 
 
 class DatacenterSimulator:
@@ -222,10 +243,11 @@ class DatacenterSimulator:
         ----------
         rebalancer:
             Optional reactive-migration hook (duck-typed:
-            ``maybe_rebalance(servers, now) -> list[server_id]``, e.g.
+            ``maybe_rebalance(servers, now) -> (touched server ids, VMs
+            finished during the migration syncs)``, e.g.
             :class:`repro.ext.migration.rebalancer.ReactiveRebalancer`);
-            invoked after VM completions, with the returned servers'
-            boundary events rescheduled.
+            invoked after VM completions, with the touched servers'
+            boundary events rescheduled and the finished VMs completed.
         faults:
             Optional materialized fault timeline (see
             :func:`repro.faults.materialize`).  Crashed servers evict
@@ -246,43 +268,82 @@ class DatacenterSimulator:
             server or pending fault event could still change capacity.
         """
         obs = self._obs if self._obs is not None else get_observability()
-        enabled = obs.enabled
-        tracer = obs.tracer
-        if enabled:
-            registry = obs.registry
-            label = {"strategy": strategy.name}
-            c_arrived = registry.counter("sim.jobs_arrived", **label)
-            c_placed = registry.counter("sim.jobs_placed", **label)
-            c_completed = registry.counter("sim.jobs_completed", **label)
-            c_vms = registry.counter("sim.vms_placed", **label)
-            c_attempts = registry.counter("sim.place_attempts", **label)
-            c_rejected = registry.counter("sim.place_rejections", **label)
-            c_backfilled = registry.counter("sim.jobs_backfilled", **label)
-            g_queue = registry.gauge("sim.queue_depth", **label)
-            g_powered = registry.gauge("sim.powered_servers", **label)
-            h_wait = registry.histogram("sim.queue_wait_s", unit="s", **label)
-            h_response = registry.histogram("sim.job_response_s", unit="s", **label)
-            h_place = registry.histogram(
-                "sim.place_latency_s", unit="s", volatile=True, **label
-            )
+        run = _Run(self._config, obs, jobs, strategy, qos, rebalancer, faults)
+        run.loop()
+        return run.result()
 
-        config = self._config
+
+class _Run:
+    """One simulation run: the event loop and its named handlers.
+
+    :meth:`loop` pops arrivals, server boundaries (stale predictions
+    are skipped by token) and fault entries, and dispatches them to
+    :meth:`_arrival`, :meth:`_completion` and :meth:`_fault` (one
+    handler per :class:`~repro.faults.FaultAction`).  Each ends by
+    settling: :meth:`_replace` re-places evicted VM groups, then
+    :meth:`_drain_queue` places queued jobs via :meth:`_place`; both
+    enact plans through :meth:`_commit`.  :meth:`result` assembles the
+    end-of-run accounting.
+    """
+
+    def __init__(self, config, obs, jobs, strategy, qos, rebalancer, faults):
+        self.config = config
+        self.strategy = strategy
+        self.rebalancer = rebalancer
+        self.enabled = obs.enabled
+        self.tracer = tracer = obs.tracer
+        if self.enabled:
+            self._bind_metrics(obs.registry, {"strategy": strategy.name})
         # The spill sink outlives the event loop (final syncs may still
         # record); it is closed before results are assembled, so replay
         # via Chronicle.iter_all() sees a complete, flushed file.
-        spill = (
-            ChronicleSpill(config.chronicle_spill_path)
-            if config.chronicle_spill_path is not None
-            else None
+        path = config.chronicle_spill_path
+        self.spill = ChronicleSpill(path) if path is not None else None
+        indexed = config.indexed
+        self.servers = servers = self._build_servers(solves_physics=indexed)
+        self.server_index = {server.server_id: i for i, server in enumerate(servers)}
+        self.cluster = (IndexedClusterView if indexed else NaiveClusterView)(servers)
+
+        ordered_jobs = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
+        self.trackers = [
+            _JobTracker(job, qos.deadline_for(job.workload_class, job.submit_time_s))
+            for job in ordered_jobs
+        ]
+        self.vm_to_tracker = {vm.vm_id: t for t in self.trackers for vm in t.vms}
+        self.events: EventQueue[_Event] = EventQueue()
+        for index, tracker in enumerate(self.trackers):
+            self.events.schedule(tracker.job.submit_time_s, ("arrival", index, 0))
+        self.fault_timeline = faults.timeline if faults is not None else ()
+        if faults is not None:
+            faults.validate_servers(config.n_servers)
+        for index, entry in enumerate(self.fault_timeline):
+            self.events.schedule(entry.time_s, ("fault", index, 0))
+        self.faults_remaining = len(self.fault_timeline)
+        self.fault_log: list[FaultRecord] = []
+        #: Evicted VM groups (one per job) awaiting re-placement, FIFO.
+        self.realloc_queue: deque[tuple[_JobTracker, list[SimVM]]] = deque()
+        self.boundary_tokens = [0] * len(servers)
+        self.queue: deque[_JobTracker] = deque()
+        self.outcomes: list[JobOutcome] = []
+        self.max_queue_length = 0
+        self.run_span = tracer.start(
+            "sim.run",
+            t_sim=0.0,
+            strategy=strategy.name,
+            n_servers=config.n_servers,
+            n_jobs=len(ordered_jobs),
         )
+        self.job_spans: dict[int, object] = {}
+
+    def _build_servers(self, solves_physics: bool) -> list[ServerRuntime]:
         # Servers with the same spec share one mix-physics memo (the
         # params are cluster-wide), multiplying the hit rate by the
-        # cluster size.  Naive mode recomputes every step, preserving
-        # the pre-index core as an honest baseline; its memos only track
-        # sequences, so both cores report the same sim.mix_memo_*
-        # counters.
-        mix_memos: dict[int, MixMemo] = {}
-        servers = [
+        # cluster size.  The naive core's memos only track sequences
+        # and it recomputes every step, preserving the pre-index core
+        # as an honest baseline with the same sim.mix_memo_* counters.
+        config = self.config
+        self.mix_memos: dict[int, MixMemo] = {}
+        return [
             ServerRuntime(
                 server_id=f"s{config.server_id_offset + i:04d}",
                 spec=config.spec_of(i),
@@ -290,577 +351,451 @@ class DatacenterSimulator:
                 power_off_when_empty=config.power_off_when_empty,
                 record_chronicle=config.record_chronicles,
                 chronicle_capacity=config.chronicle_capacity,
-                chronicle_spill=spill,
-                mix_cache=mix_memos.setdefault(
-                    id(config.spec_of(i)), MixMemo(solves=config.indexed)
+                chronicle_spill=self.spill,
+                mix_cache=self.mix_memos.setdefault(
+                    id(config.spec_of(i)), MixMemo(solves=solves_physics)
                 ),
                 signals=config.signals,
             )
             for i in range(config.n_servers)
         ]
-        server_index = {server.server_id: i for i, server in enumerate(servers)}
-        cluster: ClusterIndex | None = None
-        if config.indexed:
-            cluster = ClusterIndex(len(servers))
-            for slot, server in enumerate(servers):
-                server.bind_index(cluster, slot)
 
-        ordered_jobs = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
-        trackers: list[_JobTracker] = []
-        for job in ordered_jobs:
-            deadline = qos.deadline_for(job.workload_class, job.submit_time_s)
-            vms = [
-                SimVM(
-                    vm_id=f"j{job.job_id}-{k}",
-                    job_id=job.job_id,
-                    workload_class=job.workload_class,
-                    submit_time_s=job.submit_time_s,
-                    deadline_s=deadline,
-                )
-                for k in range(job.n_vms)
-            ]
-            trackers.append(_JobTracker(job, vms))
+    def _bind_metrics(self, registry, label: dict) -> None:
+        self.registry = registry
+        self.label = label
+        self.c_arrived = registry.counter("sim.jobs_arrived", **label)
+        self.c_placed = registry.counter("sim.jobs_placed", **label)
+        self.c_completed = registry.counter("sim.jobs_completed", **label)
+        self.c_vms = registry.counter("sim.vms_placed", **label)
+        self.c_attempts = registry.counter("sim.place_attempts", **label)
+        self.c_rejected = registry.counter("sim.place_rejections", **label)
+        self.c_backfilled = registry.counter("sim.jobs_backfilled", **label)
+        self.g_queue = registry.gauge("sim.queue_depth", **label)
+        self.g_powered = registry.gauge("sim.powered_servers", **label)
+        self.h_wait = registry.histogram("sim.queue_wait_s", unit="s", **label)
+        self.h_response = registry.histogram("sim.job_response_s", unit="s", **label)
+        self.h_place = registry.histogram("sim.place_latency_s", unit="s", volatile=True, **label)
 
-        vm_to_tracker: dict[str, _JobTracker] = {
-            vm.vm_id: tracker for tracker in trackers for vm in tracker.vms
-        }
+    # -- the event loop ----------------------------------------------------
 
-        events: EventQueue[_Event] = EventQueue()
-        for index, tracker in enumerate(trackers):
-            events.schedule(tracker.job.submit_time_s, ("arrival", index, 0))
-
-        fault_timeline = faults.timeline if faults is not None else ()
-        if faults is not None:
-            faults.validate_servers(config.n_servers)
-        for findex, entry in enumerate(fault_timeline):
-            events.schedule(entry.time_s, ("fault", findex, 0))
-        faults_remaining = len(fault_timeline)
-        fault_log: list[FaultRecord] = []
-        #: Evicted VM groups (one per job) awaiting re-placement, FIFO.
-        realloc_queue: deque[tuple[_JobTracker, list[SimVM]]] = deque()
-
-        boundary_tokens = [0] * len(servers)
-        queue: deque[_JobTracker] = deque()
-        outcomes: list[JobOutcome] = []
-        max_queue_length = 0
-        run_span = tracer.start(
-            "sim.run",
-            t_sim=0.0,
-            strategy=strategy.name,
-            n_servers=config.n_servers,
-            n_jobs=len(ordered_jobs),
-        )
-        job_spans: dict[int, object] = {}
-
-        spec_max_vms = [server.spec.max_vms for server in servers]
-        spec_cpu_slots = [
-            int(server.spec.capacity(Subsystem.CPU)) for server in servers
-        ]
-
-        def make_view(slot: int) -> ServerView:
-            server = servers[slot]
-            return ServerView(
-                server_id=server.server_id,
-                mix=server.mix_key(),
-                max_vms=spec_max_vms[slot],
-                cpu_slots=spec_cpu_slots[slot],
-                powered_on=server.powered_on,
-            )
-
-        if cluster is None:
-            # The retained naive reference: a fresh full snapshot per
-            # call, full scans for the gauges and the idle check.  The
-            # bit-identity property suite runs both modes on the same
-            # worlds and compares everything.
-            def views() -> list[ServerView]:
-                return [make_view(slot) for slot in range(len(servers)) if not servers[slot].failed]
-
-            def powered_count() -> int:
-                return sum(1 for s in servers if s.powered_on)
-
-            def cluster_idle() -> bool:
-                return all(server.n_vms == 0 for server in servers) and not any(
-                    server.failed for server in servers
-                )
-
-        else:
-            # Indexed mode: `visible` persists between events; only
-            # slots dirtied since the last call are re-snapshotted, and
-            # membership is rebuilt only after fail/recover.  Content
-            # (and order: server order, failed servers skipped) is
-            # identical to the naive rebuild by construction.
-            visible = ServerViews()
-            positions = [-1] * len(servers)
-            cidx = cluster  # non-Optional alias for the closures
-
-            def views() -> list[ServerView]:
-                if cidx.members_stale:
-                    cidx.members_stale = False
-                    cidx.dirty.clear()
-                    visible.reset()
-                    for slot in range(len(servers)):
-                        if servers[slot].failed:
-                            positions[slot] = -1
-                        else:
-                            positions[slot] = len(visible)
-                            visible.append(make_view(slot))
-                elif cidx.dirty:
-                    for slot in sorted(cidx.dirty):
-                        pos = positions[slot]
-                        if pos >= 0:
-                            visible[pos] = make_view(slot)
-                            visible.refresh(pos)
-                    cidx.dirty.clear()
-                return visible
-
-            def powered_count() -> int:
-                return cidx.powered
-
-            def cluster_idle() -> bool:
-                return cidx.active_vms == 0 and cidx.failed == 0
-
-        def schedule_boundary(index: int, now: float) -> None:
-            boundary = servers[index].next_boundary(now)
-            if boundary is None:
-                return
-            boundary_tokens[index] += 1
-            events.schedule(boundary, ("boundary", index, boundary_tokens[index]))
-
-        def try_place(tracker: _JobTracker, now: float) -> bool:
-            """Attempt to place one job; True when it was placed."""
-            descriptors = [
-                VMDescriptor(
-                    vm_id=vm.vm_id,
-                    workload_class=vm.workload_class,
-                    remaining_deadline_s=(
-                        None
-                        if math.isinf(vm.deadline_s)
-                        else max(vm.deadline_s - now, 0.0)
-                    ),
-                )
-                for vm in tracker.vms
-            ]
-            if enabled:
-                c_attempts.inc()
-                # Real wall latency of strategy.place() for the obs
-                # histogram only; simulated time (`now`) never sees it.
-                # repro: allow determinism-wallclock -- obs-only measurement
-                wall0 = time.perf_counter()
-                placement = strategy.place(descriptors, views())
-                h_place.observe(time.perf_counter() - wall0)  # repro: allow determinism-wallclock -- obs-only
-            else:
-                placement = strategy.place(descriptors, views())
-            if placement is None:
-                if enabled:
-                    c_rejected.inc()
-                return False
-            if enabled:
-                c_placed.inc()
-                c_vms.inc(len(tracker.vms))
-                h_wait.observe(now - tracker.job.submit_time_s)
-                if tracer.enabled:
-                    tracer.point(
-                        "sim.place",
-                        t_sim=now,
-                        job_id=tracker.job.job_id,
-                        n_vms=len(tracker.vms),
-                        wait_s=now - tracker.job.submit_time_s,
-                        servers=sorted(set(placement.values())),
-                    )
-            missing = {vm.vm_id for vm in tracker.vms} - set(placement)
-            if missing:
-                raise SimulationError(
-                    f"strategy {strategy.name} returned a partial placement "
-                    f"(missing {sorted(missing)})"
-                )
-            touched: set[int] = set()
-            finished_during_sync: list[SimVM] = []
-            for vm in tracker.vms:
-                index = server_index[placement[vm.vm_id]]
-                # A sync at placement time can surface VMs that
-                # complete exactly now; they must not be dropped.
-                finished_during_sync.extend(servers[index].sync(now))
-                servers[index].add_vm(vm, now)
-                touched.add(index)
-            for index in touched:
-                schedule_boundary(index, now)
-            if finished_during_sync:
-                complete_vms(finished_during_sync, now)
-            return True
-
-        def drain_queue(now: float) -> None:
-            nonlocal max_queue_length
-            while queue:
-                if try_place(queue[0], now):
-                    queue.popleft()
-                    continue
-                if cluster_idle() and faults_remaining == 0 and not realloc_queue:
-                    # With a failed server or faults still pending,
-                    # capacity may yet return; the end-of-run unfinished
-                    # check is the backstop against a silent hang.
-                    raise SimulationError(
-                        f"strategy {strategy.name} rejects job "
-                        f"{queue[0].job.job_id} on an idle cluster; it can "
-                        f"never be placed"
-                    )
-                # Head blocked: optionally backfill a bounded window of
-                # later jobs (EASY-style; placing them cannot unblock
-                # the head, so one pass suffices).
-                window = config.backfill_window
-                index = 1
-                scanned = 0
-                while window > 0 and index < len(queue) and scanned < window:
-                    if try_place(queue[index], now):
-                        del queue[index]
-                        if enabled:
-                            c_backfilled.inc()
-                    else:
-                        index += 1
-                    scanned += 1
-                break
-            max_queue_length = max(max_queue_length, len(queue))
-            if enabled:
-                g_queue.set(len(queue))
-
-        def complete_vms(finished: list[SimVM], now: float) -> bool:
-            any_job_done = False
-            for vm in finished:
-                vm.finish(now)
-                tracker = vm_to_tracker[vm.vm_id]
-                tracker.unfinished -= 1
-                if tracker.unfinished == 0:
-                    tracker.completion_s = now
-                    outcomes.append(
-                        JobOutcome(
-                            job_id=tracker.job.job_id,
-                            workload_class=tracker.job.workload_class.value,
-                            n_vms=tracker.job.n_vms,
-                            submit_time_s=tracker.job.submit_time_s,
-                            completion_time_s=now,
-                            deadline_s=vm.deadline_s,
-                        )
-                    )
-                    any_job_done = True
-                    if enabled:
-                        c_completed.inc()
-                        h_response.observe(now - tracker.job.submit_time_s)
-                        span = job_spans.pop(tracker.job.job_id, None)
-                        if span is not None:
-                            span.end(
-                                t_sim=now,
-                                missed_deadline=now > vm.deadline_s,
-                            )
-            return any_job_done
-
-        def respawn(vm: SimVM) -> tuple[SimVM, float]:
-            """Fresh restart of an evicted/aborted VM.
-
-            A crash loses the VM's progress; the replacement keeps the
-            identity (vm_id, deadline) so QoS accounting and chronicle
-            audits see one logical VM, restarted.  Returns the fresh VM
-            and the discarded seconds-of-solo-work.
-            """
-            assert vm.benchmark is not None
-            total = vm.benchmark.serial_time_s + vm.benchmark.work_time_s
-            lost = total - sum(vm.remaining)
-            fresh = SimVM(
-                vm_id=vm.vm_id,
-                job_id=vm.job_id,
-                workload_class=vm.workload_class,
-                submit_time_s=vm.submit_time_s,
-                deadline_s=vm.deadline_s,
-                benchmark=vm.benchmark,
-            )
-            tracker = vm_to_tracker[vm.vm_id]
-            for i, existing in enumerate(tracker.vms):
-                if existing is vm:
-                    tracker.vms[i] = fresh
-                    break
-            else:  # pragma: no cover - tracker bookkeeping invariant
-                raise SimulationError(f"VM {vm.vm_id!r} missing from its tracker")
-            return fresh, lost
-
-        def drain_realloc(now: float) -> None:
-            """Re-place evicted VM groups FIFO; stop at the first the
-            strategy cannot host (retried at the next state change)."""
-            while realloc_queue:
-                tracker, group = realloc_queue[0]
-                descriptors = [
-                    VMDescriptor(
-                        vm_id=vm.vm_id,
-                        workload_class=vm.workload_class,
-                        remaining_deadline_s=(
-                            None
-                            if math.isinf(vm.deadline_s)
-                            else max(vm.deadline_s - now, 0.0)
-                        ),
-                    )
-                    for vm in group
-                ]
-                placement = strategy.reallocate(descriptors, views())
-                if placement is None:
-                    break
-                missing = {vm.vm_id for vm in group} - set(placement)
-                if missing:
-                    raise SimulationError(
-                        f"strategy {strategy.name} returned a partial "
-                        f"re-placement (missing {sorted(missing)})"
-                    )
-                touched: set[int] = set()
-                finished_during_sync: list[SimVM] = []
-                for vm in group:
-                    index = server_index[placement[vm.vm_id]]
-                    finished_during_sync.extend(servers[index].sync(now))
-                    servers[index].add_vm(vm, now)
-                    touched.add(index)
-                    if servers[index].chronicle is not None:
-                        servers[index].chronicle.note(now, "replace", vm.vm_id)
-                for index in touched:
-                    schedule_boundary(index, now)
-                realloc_queue.popleft()
-                if enabled:
-                    registry.counter(FAULTS_REALLOCATIONS, **label).inc(len(group))
-                    if tracer.enabled:
-                        tracer.point(
-                            "sim.fault.replace",
-                            t_sim=now,
-                            job_id=tracker.job.job_id,
-                            n_vms=len(group),
-                            servers=sorted(set(placement.values())),
-                        )
-                if finished_during_sync:
-                    complete_vms(finished_during_sync, now)
-
-        def drain_all(now: float) -> None:
-            drain_realloc(now)
-            drain_queue(now)
-
-        def handle_fault(entry: ScheduledFault, now: float) -> None:
-            applied = True
-            vm_ids: tuple[str, ...] = ()
-            lost_total = 0.0
-            detail = ""
-            target = entry.vm if entry.vm is not None else servers[entry.server].server_id
-            if entry.action is FaultAction.CRASH:
-                server = servers[entry.server]
-                if server.failed:
-                    applied, detail = False, "already failed"
-                else:
-                    finished = server.sync(now)
-                    evicted = server.fail(now)
-                    boundary_tokens[entry.server] += 1
-                    if finished:
-                        complete_vms(finished, now)
-                    vm_ids = tuple(vm.vm_id for vm in evicted)
-                    groups: dict[int, list[SimVM]] = {}
-                    for vm in evicted:
-                        fresh, lost = respawn(vm)
-                        lost_total += lost
-                        groups.setdefault(vm.job_id, []).append(fresh)
-                    for group in groups.values():
-                        realloc_queue.append((vm_to_tracker[group[0].vm_id], group))
-                    if server.chronicle is not None:
-                        server.chronicle.note(now, "crash", f"evicted={len(evicted)}")
-            elif entry.action is FaultAction.RECOVER:
-                server = servers[entry.server]
-                if not server.failed:
-                    applied, detail = False, "not failed"
-                else:
-                    server.recover(now)
-                    if server.chronicle is not None:
-                        server.chronicle.note(now, "recover")
-            elif entry.action is FaultAction.SLOWDOWN_START:
-                server = servers[entry.server]
-                if server.failed:
-                    applied, detail = False, "server failed"
-                else:
-                    finished = server.sync(now)
-                    server.set_slowdown(entry.factor, now)
-                    schedule_boundary(entry.server, now)
-                    if finished:
-                        complete_vms(finished, now)
-                    if server.chronicle is not None:
-                        server.chronicle.note(now, "slowdown", f"factor={entry.factor}")
-            elif entry.action is FaultAction.SLOWDOWN_END:
-                server = servers[entry.server]
-                if server.failed:
-                    # A crash reset the factor; the paired end is moot.
-                    applied, detail = False, "server failed"
-                else:
-                    finished = server.sync(now)
-                    server.clear_slowdown(now)
-                    schedule_boundary(entry.server, now)
-                    if finished:
-                        complete_vms(finished, now)
-                    if server.chronicle is not None:
-                        server.chronicle.note(now, "slowdown_end")
-            else:  # ABORT_VM
-                tracker = vm_to_tracker.get(entry.vm)
-                victim = None
-                if tracker is not None:
-                    for vm in tracker.vms:
-                        if vm.vm_id == entry.vm:
-                            victim = vm
-                            break
-                if victim is None:
-                    applied, detail = False, "unknown VM"
-                elif victim.state is not VMState.RUNNING:
-                    applied, detail = False, f"VM is {victim.state.value}"
-                else:
-                    sidx = server_index[victim.server_id]
-                    finished = servers[sidx].sync(now)
-                    if victim.done:
-                        applied, detail = False, "completed at abort time"
-                        schedule_boundary(sidx, now)
-                        complete_vms(finished, now)
-                    else:
-                        servers[sidx].detach_vm(victim, now)
-                        boundary_tokens[sidx] += 1
-                        schedule_boundary(sidx, now)
-                        if finished:
-                            complete_vms(finished, now)
-                        fresh, lost = respawn(victim)
-                        lost_total += lost
-                        vm_ids = (victim.vm_id,)
-                        assert tracker is not None
-                        realloc_queue.append((tracker, [fresh]))
-                        if servers[sidx].chronicle is not None:
-                            servers[sidx].chronicle.note(now, "abort", victim.vm_id)
-            fault_log.append(
-                FaultRecord(
-                    time_s=now,
-                    kind=entry.action.value,
-                    target=target,
-                    vm_ids=vm_ids,
-                    lost_work_s=lost_total,
-                    applied=applied,
-                    detail=detail,
-                )
-            )
-            if enabled and applied:
-                registry.counter(FAULTS_INJECTED, **label).inc()
-                if tracer.enabled:
-                    tracer.point(
-                        "sim.fault",
-                        t_sim=now,
-                        action=entry.action.value,
-                        target=target,
-                        n_evicted=len(vm_ids),
-                    )
-
+    def loop(self) -> None:
+        events = self.events
+        pop = events.pop
+        servers = self.servers
+        tokens = self.boundary_tokens
+        schedule_boundary = self.schedule_boundary
         while events:
-            now, (kind, index, token) = events.pop()
-            if kind == "arrival":
-                tracker = trackers[index]
-                queue.append(tracker)
-                max_queue_length = max(max_queue_length, len(queue))
-                if enabled:
-                    c_arrived.inc()
-                    g_queue.set(len(queue))
-                    if tracer.enabled:
-                        job_spans[tracker.job.job_id] = tracer.start(
-                            "sim.job",
-                            t_sim=now,
-                            detached=True,
-                            job_id=tracker.job.job_id,
-                            workload_class=tracker.job.workload_class.value,
-                            n_vms=tracker.job.n_vms,
-                        )
-                drain_all(now)
-                if enabled:
-                    g_powered.set(powered_count())
-            elif kind == "fault":
-                faults_remaining -= 1
-                handle_fault(fault_timeline[index], now)
-                drain_all(now)
-                if enabled:
-                    g_powered.set(powered_count())
-            else:  # boundary
-                if token != boundary_tokens[index]:
+            now, (kind, index, token) = pop()
+            if kind == "boundary":
+                if token != tokens[index]:
                     continue  # stale prediction: the mix changed since
                 finished = servers[index].sync(now)
                 schedule_boundary(index, now)
                 if finished:
-                    complete_vms(finished, now)
-                    if rebalancer is not None:
-                        touched_ids, done_vms = rebalancer.maybe_rebalance(servers, now)
-                        if done_vms:
-                            complete_vms(done_vms, now)
-                        for server_id in touched_ids:
-                            moved_index = server_index[server_id]
-                            # Migration syncs the server itself; only
-                            # the boundary prediction needs refreshing.
-                            schedule_boundary(moved_index, now)
-                    drain_all(now)
-                    if enabled:
-                        g_powered.set(powered_count())
+                    self._completion(finished, now)
+            elif kind == "arrival":
+                self._arrival(self.trackers[index], now)
+            else:
+                self._fault(self.fault_timeline[index], now)
 
-        if queue or realloc_queue or any(tracker.unfinished for tracker in trackers):
+    def schedule_boundary(self, index: int, now: float) -> None:
+        boundary = self.servers[index].next_boundary(now)
+        if boundary is None:
+            return
+        tokens = self.boundary_tokens
+        token = tokens[index] = tokens[index] + 1
+        self.events.schedule(boundary, ("boundary", index, token))
+
+    def _settle(self, now: float) -> None:
+        """After any state change: re-place evicted VMs, then drain the
+        job queue (capacity may have freed up)."""
+        self._replace(now)
+        self._drain_queue(now)
+        if self.enabled:
+            self.g_powered.set(self.cluster.powered_count())
+
+    # -- arrival, placement, completion ------------------------------------
+
+    def _arrival(self, tracker: _JobTracker, now: float) -> None:
+        queue = self.queue
+        queue.append(tracker)
+        self.max_queue_length = max(self.max_queue_length, len(queue))
+        if self.enabled:
+            self.c_arrived.inc()
+            self.g_queue.set(len(queue))
+            if self.tracer.enabled:
+                job = tracker.job
+                self.job_spans[job.job_id] = self.tracer.start(
+                    "sim.job",
+                    t_sim=now,
+                    detached=True,
+                    job_id=job.job_id,
+                    workload_class=job.workload_class.value,
+                    n_vms=job.n_vms,
+                )
+        self._settle(now)
+
+    def _drain_queue(self, now: float) -> None:
+        queue = self.queue
+        while queue:
+            if self._place(queue[0], now):
+                queue.popleft()
+                continue
+            if self.cluster.idle() and self.faults_remaining == 0 and not self.realloc_queue:
+                # With a failed server or faults still pending,
+                # capacity may yet return; the end-of-run unfinished
+                # check is the backstop against a silent hang.
+                raise SimulationError(
+                    f"strategy {self.strategy.name} rejects job "
+                    f"{queue[0].job.job_id} on an idle cluster; it can "
+                    f"never be placed"
+                )
+            # Head blocked: optionally backfill a bounded window of
+            # later jobs (EASY-style; placing them cannot unblock the
+            # head, so one pass suffices).
+            window = self.config.backfill_window
+            index = 1
+            scanned = 0
+            while window > 0 and index < len(queue) and scanned < window:
+                if self._place(queue[index], now):
+                    del queue[index]
+                    if self.enabled:
+                        self.c_backfilled.inc()
+                else:
+                    index += 1
+                scanned += 1
+            break
+        self.max_queue_length = max(self.max_queue_length, len(queue))
+        if self.enabled:
+            self.g_queue.set(len(queue))
+
+    def _place(self, tracker: _JobTracker, now: float) -> bool:
+        """Attempt to place one queued job; True when it was placed."""
+        vms = tracker.vms
+        descriptors = _descriptors(vms, now)
+        if not self.enabled:
+            placement = self.strategy.place(descriptors, self.cluster.views())
+            if placement is None:
+                return False
+            self._commit(vms, placement, now)
+            return True
+        self.c_attempts.inc()
+        # Real wall latency of strategy.place() for the obs histogram
+        # only; simulated time (`now`) never sees it.
+        # repro: allow determinism-wallclock -- obs-only measurement
+        wall0 = time.perf_counter()
+        placement = self.strategy.place(descriptors, self.cluster.views())
+        self.h_place.observe(time.perf_counter() - wall0)  # repro: allow determinism-wallclock -- obs-only
+        if placement is None:
+            self.c_rejected.inc()
+            return False
+        submit = tracker.job.submit_time_s
+        self.c_placed.inc()
+        self.c_vms.inc(len(vms))
+        self.h_wait.observe(now - submit)
+        if self.tracer.enabled:
+            self.tracer.point(
+                "sim.place",
+                t_sim=now,
+                job_id=tracker.job.job_id,
+                n_vms=len(vms),
+                wait_s=now - submit,
+                servers=sorted(set(placement.values())),
+            )
+        self._commit(vms, placement, now)
+        return True
+
+    def _replace(self, now: float) -> None:
+        """Re-place evicted VM groups FIFO; stop at the first the
+        strategy cannot host (retried at the next state change)."""
+        realloc_queue = self.realloc_queue
+        while realloc_queue:
+            tracker, group = realloc_queue[0]
+            placement = self.strategy.reallocate(
+                _descriptors(group, now), self.cluster.views()
+            )
+            if placement is None:
+                break
+            realloc_queue.popleft()
+            if self.enabled:
+                self.registry.counter(FAULTS_REALLOCATIONS, **self.label).inc(len(group))
+                if self.tracer.enabled:
+                    self.tracer.point(
+                        "sim.fault.replace",
+                        t_sim=now,
+                        job_id=tracker.job.job_id,
+                        n_vms=len(group),
+                        servers=sorted(set(placement.values())),
+                    )
+            self._commit(group, placement, now, replace=True)
+
+    def _commit(self, vms, placement, now: float, replace: bool = False) -> None:
+        """Enact a placement: sync each target server, add the VM,
+        reschedule the touched servers, then complete whatever the
+        syncs surfaced."""
+        missing = {vm.vm_id for vm in vms} - set(placement)
+        if missing:
+            raise SimulationError(
+                f"strategy {self.strategy.name} returned a partial "
+                f"{'re-placement' if replace else 'placement'} (missing {sorted(missing)})"
+            )
+        servers = self.servers
+        touched: set[int] = set()
+        finished: list[SimVM] = []
+        for vm in vms:
+            index = self.server_index[placement[vm.vm_id]]
+            server = servers[index]
+            # A sync at placement time can surface VMs that complete
+            # exactly now; they must not be dropped.
+            finished.extend(server.sync(now))
+            server.add_vm(vm, now)
+            touched.add(index)
+            if replace and server.chronicle is not None:
+                server.chronicle.note(now, "replace", vm.vm_id)
+        for index in touched:
+            self.schedule_boundary(index, now)
+        if finished:
+            self._complete_vms(finished, now)
+
+    def _completion(self, finished: list[SimVM], now: float) -> None:
+        self._complete_vms(finished, now)
+        if self.rebalancer is not None:
+            self._rebalance(now)
+        self._settle(now)
+
+    def _complete_vms(self, finished: list[SimVM], now: float) -> None:
+        for vm in finished:
+            vm.finish(now)
+            tracker = self.vm_to_tracker[vm.vm_id]
+            tracker.unfinished -= 1
+            if tracker.unfinished:
+                continue
+            job = tracker.job
+            self.outcomes.append(
+                JobOutcome(
+                    job_id=job.job_id,
+                    workload_class=job.workload_class.value,
+                    n_vms=job.n_vms,
+                    submit_time_s=job.submit_time_s,
+                    completion_time_s=now,
+                    deadline_s=vm.deadline_s,
+                )
+            )
+            if self.enabled:
+                self.c_completed.inc()
+                self.h_response.observe(now - job.submit_time_s)
+                span = self.job_spans.pop(job.job_id, None)
+                if span is not None:
+                    span.end(t_sim=now, missed_deadline=now > vm.deadline_s)
+
+    def _rebalance(self, now: float) -> None:
+        touched_ids, done_vms = self.rebalancer.maybe_rebalance(self.servers, now)
+        if done_vms:
+            self._complete_vms(done_vms, now)
+        for server_id in touched_ids:
+            # Migration syncs the server itself; only the boundary
+            # prediction needs refreshing.
+            self.schedule_boundary(self.server_index[server_id], now)
+
+    # -- faults --------------------------------------------------------------
+
+    def _fault(self, entry: ScheduledFault, now: float) -> None:
+        self.faults_remaining -= 1
+        target = entry.vm if entry.vm is not None else self.servers[entry.server].server_id
+        handler = _FAULT_HANDLERS[entry.action]
+        detail, vm_ids, lost_work_s = handler(self, entry, now)
+        self.fault_log.append(
+            FaultRecord(
+                time_s=now,
+                kind=entry.action.value,
+                target=target,
+                vm_ids=vm_ids,
+                lost_work_s=lost_work_s,
+                applied=not detail,
+                detail=detail,
+            )
+        )
+        if self.enabled and not detail:
+            self.registry.counter(FAULTS_INJECTED, **self.label).inc()
+            if self.tracer.enabled:
+                self.tracer.point(
+                    "sim.fault",
+                    t_sim=now,
+                    action=entry.action.value,
+                    target=target,
+                    n_evicted=len(vm_ids),
+                )
+        self._settle(now)
+
+    def _resync(self, index: int, finished: list[SimVM], now: float) -> None:
+        """Refresh a mutated server's boundary, then complete the VMs
+        its pre-mutation sync surfaced."""
+        self.schedule_boundary(index, now)
+        if finished:
+            self._complete_vms(finished, now)
+
+    def _crash(self, entry: ScheduledFault, now: float) -> tuple:
+        server = self.servers[entry.server]
+        if server.failed:
+            return "already failed", (), 0.0
+        finished = server.sync(now)
+        evicted = server.fail(now)
+        self.boundary_tokens[entry.server] += 1
+        if finished:
+            self._complete_vms(finished, now)
+        lost_total = 0.0
+        groups: dict[int, list[SimVM]] = {}
+        for vm in evicted:
+            fresh, lost = self._respawn(vm)
+            lost_total += lost
+            groups.setdefault(vm.job_id, []).append(fresh)
+        for group in groups.values():
+            self.realloc_queue.append((self.vm_to_tracker[group[0].vm_id], group))
+        if server.chronicle is not None:
+            server.chronicle.note(now, "crash", f"evicted={len(evicted)}")
+        return "", tuple(vm.vm_id for vm in evicted), lost_total
+
+    def _recover(self, entry: ScheduledFault, now: float) -> tuple:
+        server = self.servers[entry.server]
+        if not server.failed:
+            return "not failed", (), 0.0
+        server.recover(now)
+        if server.chronicle is not None:
+            server.chronicle.note(now, "recover")
+        return "", (), 0.0
+
+    def _slowdown_start(self, entry: ScheduledFault, now: float) -> tuple:
+        return self._set_slowdown(entry, now, entry.factor, "slowdown", f"factor={entry.factor}")
+
+    def _slowdown_end(self, entry: ScheduledFault, now: float) -> tuple:
+        # A crash reset the factor, so the paired end of a slowdown on a
+        # failed server is moot.
+        return self._set_slowdown(entry, now, 1.0, "slowdown_end", "")
+
+    def _set_slowdown(self, entry, now: float, factor: float, note: str, detail: str) -> tuple:
+        server = self.servers[entry.server]
+        if server.failed:
+            return "server failed", (), 0.0
+        finished = server.sync(now)
+        server.set_slowdown(factor, now)
+        self._resync(entry.server, finished, now)
+        if server.chronicle is not None:
+            server.chronicle.note(now, note, detail)
+        return "", (), 0.0
+
+    def _abort(self, entry: ScheduledFault, now: float) -> tuple:
+        tracker = self.vm_to_tracker.get(entry.vm)
+        vms = tracker.vms if tracker is not None else ()
+        victim = next((vm for vm in vms if vm.vm_id == entry.vm), None)
+        if victim is None:
+            return "unknown VM", (), 0.0
+        if victim.state is not VMState.RUNNING:
+            return f"VM is {victim.state.value}", (), 0.0
+        index = self.server_index[victim.server_id]
+        server = self.servers[index]
+        finished = server.sync(now)
+        if victim.done:
+            self._resync(index, finished, now)
+            return "completed at abort time", (), 0.0
+        server.detach_vm(victim, now)
+        self.boundary_tokens[index] += 1
+        self._resync(index, finished, now)
+        fresh, lost = self._respawn(victim)
+        self.realloc_queue.append((tracker, [fresh]))
+        if server.chronicle is not None:
+            server.chronicle.note(now, "abort", victim.vm_id)
+        return "", (victim.vm_id,), lost
+
+    def _respawn(self, vm: SimVM) -> tuple[SimVM, float]:
+        """Fresh restart of an evicted/aborted VM.
+
+        A crash loses the VM's progress; the replacement keeps the
+        identity (vm_id, deadline) so QoS accounting and chronicle
+        audits see one logical VM, restarted.  Returns the fresh VM
+        and the discarded seconds-of-solo-work.
+        """
+        assert vm.benchmark is not None
+        total = vm.benchmark.serial_time_s + vm.benchmark.work_time_s
+        lost = total - sum(vm.remaining)
+        fresh = SimVM(
+            vm_id=vm.vm_id,
+            job_id=vm.job_id,
+            workload_class=vm.workload_class,
+            submit_time_s=vm.submit_time_s,
+            deadline_s=vm.deadline_s,
+            benchmark=vm.benchmark,
+        )
+        vms = self.vm_to_tracker[vm.vm_id].vms
+        vms[list(map(id, vms)).index(id(vm))] = fresh  # by identity
+        return fresh, lost
+
+    # -- result assembly ---------------------------------------------------
+
+    def _finish(self) -> None:
+        """Check every job finished, integrate every server up to the
+        last completion, flush the spill and end-of-run telemetry."""
+        trackers = self.trackers
+        if self.queue or self.realloc_queue or any(t.unfinished for t in trackers):
             stuck = [t.job.job_id for t in trackers if t.unfinished]
             raise SimulationError(f"simulation ended with unfinished jobs: {stuck[:10]}")
-
-        end_time = max((o.completion_time_s for o in outcomes), default=0.0)
-        for server in servers:
+        end_time = max((o.completion_time_s for o in self.outcomes), default=0.0)
+        for server in self.servers:
             # A fault handled after the last completion may have synced
             # its server past end_time; never rewind.
             server.sync(max(end_time, server.last_sync_s))
-        if spill is not None:
-            spill.close()
-
-        if enabled:
-            g_queue.set(0)
-            g_powered.set(powered_count())
-            registry.gauge("sim.max_queue_length", **label).set(max_queue_length)
-            registry.counter("sim.mix_memo_misses", **label).inc(
-                sum(memo.misses for memo in mix_memos.values())
-            )
-            registry.counter("sim.mix_memo_clears", **label).inc(
-                sum(memo.clears for memo in mix_memos.values())
-            )
-        run_span.end(
+        if self.spill is not None:
+            self.spill.close()
+        if self.enabled:
+            registry, label = self.registry, self.label
+            memos = self.mix_memos.values()
+            self.g_queue.set(0)
+            self.g_powered.set(self.cluster.powered_count())
+            registry.gauge("sim.max_queue_length", **label).set(self.max_queue_length)
+            registry.counter("sim.mix_memo_misses", **label).inc(sum(m.misses for m in memos))
+            registry.counter("sim.mix_memo_clears", **label).inc(sum(m.clears for m in memos))
+        self.run_span.end(
             t_sim=end_time,
-            n_outcomes=len(outcomes),
-            max_queue_length=max_queue_length,
+            n_outcomes=len(self.outcomes),
+            max_queue_length=self.max_queue_length,
         )
 
-        if config.signals is not None:
-            carbon_g = sum(s.carbon_g() for s in servers)
-            cost = sum(s.cost() for s in servers)
-            if enabled:
-                registry.counter("carbon.grams", **label).inc(carbon_g)
-                registry.counter("cost.currency", **label).inc(cost)
-        else:
-            carbon_g = 0.0
-            cost = 0.0
+    def result(self) -> SimulationResult:
+        self._finish()
+        servers = self.servers
+        signals = self.config.signals is not None
+        busy = tuple(s.energy().busy_j for s in servers)
+        idle = tuple(s.energy().idle_j for s in servers)
+        carbon = tuple(s.carbon_g() for s in servers) if signals else ()
+        cost = tuple(s.cost() for s in servers) if signals else ()
+        if signals and self.enabled:
+            self.registry.counter("carbon.grams", **self.label).inc(sum(carbon))
+            self.registry.counter("cost.currency", **self.label).inc(sum(cost))
         metrics = compute_metrics(
-            outcomes,
-            energy_busy_j=sum(s.energy().busy_j for s in servers),
-            energy_idle_j=sum(s.energy().idle_j for s in servers),
-            max_queue_length=max_queue_length,
-            carbon_g=carbon_g,
-            cost=cost,
+            self.outcomes,
+            energy_busy_j=sum(busy),
+            energy_idle_j=sum(idle),
+            max_queue_length=self.max_queue_length,
+            carbon_g=sum(carbon, 0.0),
+            cost=sum(cost, 0.0),
         )
         return SimulationResult(
-            strategy_name=strategy.name,
+            strategy_name=self.strategy.name,
             metrics=metrics,
-            outcomes=tuple(outcomes),
-            per_server_busy_j=tuple(s.energy().busy_j for s in servers),
-            per_server_idle_j=tuple(s.energy().idle_j for s in servers),
+            outcomes=tuple(self.outcomes),
+            per_server_busy_j=busy,
+            per_server_idle_j=idle,
             n_servers=len(servers),
-            chronicles=(
-                tuple(s.chronicle for s in servers)
-                if config.record_chronicles
-                else ()
-            ),
-            fault_log=tuple(fault_log),
-            per_server_carbon_g=(
-                tuple(s.carbon_g() for s in servers)
-                if config.signals is not None
-                else ()
-            ),
-            per_server_cost=(
-                tuple(s.cost() for s in servers)
-                if config.signals is not None
-                else ()
-            ),
+            chronicles=tuple(s.chronicle for s in servers) if self.config.record_chronicles else (),
+            fault_log=tuple(self.fault_log),
+            per_server_carbon_g=carbon,
+            per_server_cost=cost,
         )
+
+
+_FAULT_HANDLERS = {
+    FaultAction.CRASH: _Run._crash,
+    FaultAction.RECOVER: _Run._recover,
+    FaultAction.SLOWDOWN_START: _Run._slowdown_start,
+    FaultAction.SLOWDOWN_END: _Run._slowdown_end,
+    FaultAction.ABORT_VM: _Run._abort,
+}

@@ -1,13 +1,11 @@
 """Incremental cluster-state indexes for the scaled simulation core.
 
-The naive event loop does O(n_servers) work at every event site:
-``views()`` rebuilds a full snapshot list per placement attempt, the
-idle-cluster deadlock check scans every server, and the powered-on
-gauge is recomputed with a full ``sum(...)``.  At paper scale (tens of
-servers) that is invisible; at the ROADMAP's 100x-1000x target it
-dominates the run.
-
-This module keeps three structures incrementally instead:
+The driver reads the cluster through one interface, chosen once per
+run.  :class:`NaiveClusterView` does O(n_servers) work at every call:
+a full snapshot rebuild per placement attempt, full scans for the
+powered-server gauge and the idle-cluster check.  At paper scale
+(tens of servers) that is invisible; at 100x-1000x it dominates the
+run.  :class:`IndexedClusterView` keeps three structures instead:
 
 * :class:`ClusterIndex` -- O(1) counters (powered-on servers, active
   VMs, failed servers) plus a dirty set of server slots whose snapshot
@@ -43,8 +41,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from repro.strategies.base import ServerView
+from repro.testbed.spec import Subsystem
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.strategies.base import ServerView
+    from repro.sim.server import ServerRuntime
 
 #: Views per occupancy block: one int summarizes 64 snapshots, so the
 #: candidate iterator skips fully-packed regions 64 servers at a time.
@@ -55,7 +56,7 @@ _BLOCK_SHIFT = 6
 class ClusterIndex:
     """O(1) cluster-wide counters plus snapshot-invalidation state.
 
-    Owned by the datacenter driver; written only by the
+    Owned by an :class:`IndexedClusterView`; written only by the
     :class:`~repro.sim.server.ServerRuntime` mutation helpers of bound
     servers.  ``dirty`` holds server slots whose *snapshot content*
     changed (mix, power state); ``members_stale`` is raised when the
@@ -166,7 +167,7 @@ class ServerViews(list):
     that it carries per-multiplex free-capacity levels and exposes
     :meth:`free_candidates`, which capacity-driven strategies discover
     via ``getattr`` (duck typing keeps ``strategies`` from importing
-    ``sim``).  The driver patches entries in place via
+    ``sim``).  :class:`IndexedClusterView` patches entries in place via
     :meth:`refresh` and wipes everything on membership changes via
     :meth:`reset`.
 
@@ -183,7 +184,7 @@ class ServerViews(list):
         self._levels: dict[int, _FreeLevel] = {}
 
     def reset(self) -> None:
-        """Forget everything (membership changed; driver re-appends)."""
+        """Forget everything (membership changed; the owner re-appends)."""
         del self[:]
         self._levels.clear()
 
@@ -201,3 +202,83 @@ class ServerViews(list):
             level = _FreeLevel(multiplex, self)
             self._levels[multiplex] = level
         return level.iter_free(self)
+
+
+class NaiveClusterView:
+    """The reference cluster view: rebuilt and rescanned at every call.
+
+    ``views()`` is the snapshot list handed to strategies (server
+    order, failed servers skipped), ``powered_count()`` feeds the
+    ``sim.powered_servers`` gauge, ``idle()`` the deadlock check.
+    """
+
+    def __init__(self, servers: "list[ServerRuntime]"):
+        self._servers = servers
+        self._max_vms = [server.spec.max_vms for server in servers]
+        self._cpu_slots = [int(server.spec.capacity(Subsystem.CPU)) for server in servers]
+
+    def snapshot(self, slot: int) -> ServerView:
+        server = self._servers[slot]
+        return ServerView(
+            server_id=server.server_id,
+            mix=server.mix_key(),
+            max_vms=self._max_vms[slot],
+            cpu_slots=self._cpu_slots[slot],
+            powered_on=server.powered_on,
+        )
+
+    def views(self) -> list[ServerView]:
+        return [
+            self.snapshot(slot) for slot, server in enumerate(self._servers) if not server.failed
+        ]
+
+    def powered_count(self) -> int:
+        return sum(1 for server in self._servers if server.powered_on)
+
+    def idle(self) -> bool:
+        servers = self._servers
+        return all(server.n_vms == 0 for server in servers) and not any(
+            server.failed for server in servers
+        )
+
+
+class IndexedClusterView(NaiveClusterView):
+    """The same reads, served from a bound :class:`ClusterIndex` and a
+    persistent :class:`ServerViews` list."""
+
+    def __init__(self, servers: "list[ServerRuntime]"):
+        super().__init__(servers)
+        self.index = ClusterIndex(len(servers))
+        for slot, server in enumerate(servers):
+            server.bind_index(self.index, slot)
+        self._visible = ServerViews()
+        self._positions = [-1] * len(servers)
+
+    def views(self) -> list[ServerView]:
+        index = self.index
+        visible = self._visible
+        positions = self._positions
+        if index.members_stale:
+            index.members_stale = False
+            index.dirty.clear()
+            visible.reset()
+            for slot, server in enumerate(self._servers):
+                if server.failed:
+                    positions[slot] = -1
+                else:
+                    positions[slot] = len(visible)
+                    visible.append(self.snapshot(slot))
+        elif index.dirty:
+            for slot in sorted(index.dirty):
+                pos = positions[slot]
+                if pos >= 0:
+                    visible[pos] = self.snapshot(slot)
+                    visible.refresh(pos)
+            index.dirty.clear()
+        return visible
+
+    def powered_count(self) -> int:
+        return self.index.powered
+
+    def idle(self) -> bool:
+        return self.index.active_vms == 0 and self.index.failed == 0

@@ -10,13 +10,13 @@ event-driven equivalent of the paper's interval-weighted accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
 from typing import TYPE_CHECKING
 
 from repro.campaign.records import MixKey
 from repro.common.errors import SimulationError
-from repro.sim.vm import SimVM, VMState
+from repro.sim.vm import EPSILON_S as _EPSILON_S, SimVM, VMState
 from repro.testbed.contention import ContentionParams, MixKind, MixModel
 from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec
@@ -25,8 +25,6 @@ from repro.testbed.benchmarks import WorkloadClass
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.chronicle import ChronicleSpill
     from repro.sim.index import ClusterIndex
-
-_EPSILON_S = 1e-9
 
 #: Mix-physics memo entries per memo before it is wholesale cleared.
 #: Clearing only costs recomputation; results are unaffected.  The cap
@@ -263,11 +261,6 @@ class ServerRuntime:
         return self._powered_since_s is not None
 
     @property
-    def slowdown_factor(self) -> float:
-        """Transient-fault progress multiplier (1.0 = nominal speed)."""
-        return self._slowdown_factor
-
-    @property
     def last_sync_s(self) -> float:
         """Sim time up to which progress/energy are integrated."""
         return self._last_sync_s
@@ -388,7 +381,7 @@ class ServerRuntime:
                 if remaining[stage] <= _EPSILON_S:
                     remaining[stage] = 0.0
                     stage += 1
-                    while stage < 2 and remaining[stage] <= 0.0:
+                    while stage < 2 and remaining[stage] <= _EPSILON_S:
                         stage += 1
                     vm.stage = stage
                     self._physics = None
@@ -414,19 +407,24 @@ class ServerRuntime:
         idle_loads = {s: 0.0 for s in SUBSYSTEMS}
         return instantaneous_power(idle_loads, 0, self.spec.power)
 
-    def add_vm(self, vm: SimVM, now_s: float) -> None:
-        """Place a VM; caller must have synced to ``now_s`` first."""
+    def _check_synced(self, what: str, now_s: float) -> None:
         if abs(now_s - self._last_sync_s) > 1e-6:
             raise SimulationError(
-                f"server {self.server_id}: add_vm at {now_s} without sync "
+                f"server {self.server_id}: {what} at {now_s} without sync "
                 f"(last sync {self._last_sync_s})"
             )
+
+    def _admit(self, what: str, now_s: float) -> None:
+        """Checks before hosting a VM; powers the server on."""
+        self._check_synced(what, now_s)
         if self.failed:
-            raise SimulationError(
-                f"server {self.server_id}: cannot place VM on a failed server"
-            )
+            raise SimulationError(f"server {self.server_id}: cannot {what} on a failed server")
         if not self.powered_on:
             self._set_power(now_s)
+
+    def add_vm(self, vm: SimVM, now_s: float) -> None:
+        """Place a VM; caller must have synced to ``now_s`` first."""
+        self._admit("add_vm", now_s)
         vm.place(self.server_id, now_s)
         self._host(vm)
         self.epoch += 1
@@ -438,18 +436,9 @@ class ServerRuntime:
         lifecycle transition; the VM keeps its progress state.  Caller
         must have synced to ``now_s`` first.
         """
-        if abs(now_s - self._last_sync_s) > 1e-6:
-            raise SimulationError(
-                f"server {self.server_id}: attach_vm at {now_s} without sync"
-            )
-        if self.failed:
-            raise SimulationError(
-                f"server {self.server_id}: cannot attach VM to a failed server"
-            )
         if vm.done:
             raise SimulationError(f"cannot attach finished VM {vm.vm_id!r}")
-        if not self.powered_on:
-            self._set_power(now_s)
+        self._admit("attach_vm", now_s)
         vm.server_id = self.server_id
         self._host(vm)
         self.epoch += 1
@@ -461,10 +450,7 @@ class ServerRuntime:
         remaining-work state and can be re-attached to another server
         via :func:`repro.ext.migration.controller.attach_migrated`.
         """
-        if abs(now_s - self._last_sync_s) > 1e-6:
-            raise SimulationError(
-                f"server {self.server_id}: detach_vm at {now_s} without sync"
-            )
+        self._check_synced("detach_vm", now_s)
         try:
             self._unhost(vm)
         except ValueError:
@@ -490,7 +476,13 @@ class ServerRuntime:
         earliest = min(
             [vm.remaining[vm.stage] * s * factor for vm, s in zip(self._vms, slowdowns)]
         )
-        return now_s + max(earliest, _EPSILON_S)
+        boundary = now_s + max(earliest, _EPSILON_S)
+        if boundary <= now_s:
+            # Below now_s's float resolution (late sim times leave such
+            # residues): a sync to now_s integrates nothing, so predict
+            # the next representable time or the driver never advances.
+            return math.nextafter(now_s, math.inf)
+        return boundary
 
     # -- power management -------------------------------------------------
 
@@ -520,10 +512,7 @@ class ServerRuntime:
         with their progress state intact; the datacenter driver turns
         them into fresh re-allocation requests.
         """
-        if abs(now_s - self._last_sync_s) > 1e-6:
-            raise SimulationError(
-                f"server {self.server_id}: fail at {now_s} without sync"
-            )
+        self._check_synced("fail", now_s)
         if self.failed:
             raise SimulationError(f"server {self.server_id}: already failed")
         evicted = [vm for vm in self._vms if not vm.done]
@@ -549,23 +538,12 @@ class ServerRuntime:
             self._cluster.on_failure(self._slot, False)
 
     def set_slowdown(self, factor: float, now_s: float) -> None:
-        """Begin a transient slowdown; caller must have synced first."""
+        """Begin a transient slowdown (``factor`` 1.0 ends it); caller
+        must have synced first."""
         if factor < 1.0:
             raise SimulationError(
                 f"server {self.server_id}: slowdown factor must be >= 1, got {factor}"
             )
-        if abs(now_s - self._last_sync_s) > 1e-6:
-            raise SimulationError(
-                f"server {self.server_id}: set_slowdown at {now_s} without sync"
-            )
+        self._check_synced("set_slowdown", now_s)
         self._slowdown_factor = factor
-        self.epoch += 1
-
-    def clear_slowdown(self, now_s: float) -> None:
-        """End a transient slowdown; caller must have synced first."""
-        if abs(now_s - self._last_sync_s) > 1e-6:
-            raise SimulationError(
-                f"server {self.server_id}: clear_slowdown at {now_s} without sync"
-            )
-        self._slowdown_factor = 1.0
         self.epoch += 1

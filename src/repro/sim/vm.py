@@ -9,6 +9,11 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.testbed.benchmarks import BenchmarkSpec, WorkloadClass, canonical_benchmark
 from repro.testbed.contention import ActiveVM
 
+#: Integrator resolution: a stage with at most this much solo work
+#: left counts as done.  Shared with ServerRuntime.sync, so a stage the
+#: integrator would zero is never entered in the first place.
+EPSILON_S = 1e-9
+
 
 class VMState(enum.Enum):
     """Lifecycle of a simulated VM."""
@@ -51,8 +56,8 @@ class SimVM:
         if self.benchmark is None:
             self.benchmark = canonical_benchmark(self.workload_class)
         self.remaining = [self.benchmark.serial_time_s, self.benchmark.work_time_s]
-        while self.stage < 2 and self.remaining[self.stage] <= 0.0:
-            self.stage += 1
+        if self.remaining[0] <= EPSILON_S:
+            self.stage = 1  # never born done: the work stage always runs
 
     # -- lifecycle ----------------------------------------------------
 
@@ -86,7 +91,7 @@ class SimVM:
             )
         return ActiveVM(self.benchmark, demand_scale=1.0, contended=True)
 
-    def advance(self, dt_s: float, slowdown: float, epsilon_s: float = 1e-9) -> None:
+    def advance(self, dt_s: float, slowdown: float, epsilon_s: float = EPSILON_S) -> None:
         """Progress the current stage by ``dt_s`` wall seconds."""
         if self.done:
             raise SimulationError(f"advancing finished VM {self.vm_id}")
@@ -94,7 +99,7 @@ class SimVM:
         if self.remaining[self.stage] <= epsilon_s:
             self.remaining[self.stage] = 0.0
             self.stage += 1
-            while self.stage < 2 and self.remaining[self.stage] <= 0.0:
+            while self.stage < 2 and self.remaining[self.stage] <= epsilon_s:
                 self.stage += 1
 
     # -- reporting ----------------------------------------------------

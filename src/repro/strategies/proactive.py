@@ -22,19 +22,18 @@ constraints"):
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping, Optional, Sequence
 
 from repro.common.errors import AllocationError, QoSViolationError
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.model import ModelDatabase
-from repro.core.plan import AllocationPlan, AllocationProvenance
+from repro.core.plan import AllocationPlan
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import Observability, get_observability
 from repro.strategies.base import AllocationStrategy, ServerView, VMDescriptor
 
 #: Registry counter names (sans prefix) the strategy accumulates per
-#: successful plan -- the PR 1 ``search_totals`` keys.
+#: successful plan.
 _TOTAL_KEYS = (
     "plans",
     "grid_hits",
@@ -136,33 +135,6 @@ class ProactiveStrategy(AllocationStrategy):
     def last_plan(self) -> Optional[AllocationPlan]:
         """The most recent successful plan (with search provenance)."""
         return self._last_plan
-
-    @property
-    def last_provenance(self) -> Optional[AllocationProvenance]:
-        """Deprecated: read ``last_plan.search_provenance`` instead."""
-        warnings.warn(
-            "ProactiveStrategy.last_provenance is deprecated and will be "
-            "removed in 2.0; read last_plan.search_provenance (per plan) "
-            "or the repro.obs metrics registry (totals) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        plan = self._last_plan
-        return plan.search_provenance if plan is not None else None
-
-    @property
-    def search_totals(self) -> Mapping[str, int]:
-        """Deprecated: cache/prune totals, now read back from the
-        ``strategy.*`` counters in the metrics registry."""
-        warnings.warn(
-            "ProactiveStrategy.search_totals is deprecated and will be "
-            "removed in 2.0; read the strategy.* counters from "
-            "ProactiveStrategy.metrics (or the repro.obs registry "
-            "snapshot) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {key: counter.value for key, counter in self._counters.items()}
 
     def _record(self, plan: AllocationPlan) -> AllocationPlan:
         self._last_plan = plan

@@ -115,11 +115,7 @@ def benchmark_specs(draw, max_ram_gb=8.0):
         name="random",
         workload_class=draw(st.sampled_from(list(WorkloadClass))),
         t_ref_s=draw(st.floats(min_value=1.0, max_value=2000.0)),
-        # Stages shorter than the integrator's 1 ns step are out of
-        # scope: a VM created with one never leaves it.
-        serial_fraction=draw(
-            st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.95))
-        ),
+        serial_fraction=draw(st.floats(min_value=0.0, max_value=0.95)),
         demands=dict(zip(SUBSYSTEMS, demands)),
         ram_gb=draw(st.floats(min_value=0.05, max_value=max_ram_gb)),
         init_demand_scale=draw(

@@ -1,11 +1,13 @@
 """Unit tests for the per-server runtime."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.server import ServerRuntime
 from repro.sim.vm import SimVM
-from repro.testbed.benchmarks import WorkloadClass
+from repro.testbed.benchmarks import WorkloadClass, canonical_benchmark
 from repro.testbed.spec import default_server
 
 
@@ -129,3 +131,59 @@ class TestSyncSemantics:
         crowded.sync(b_crowded)
         solo.sync(b_solo)
         assert crowded.next_boundary(b_crowded) > solo.next_boundary(b_solo)
+
+
+def _drain(server, t, cap=100):
+    """Run the next_boundary -> sync loop; returns (iterations, time)."""
+    steps = 0
+    while server.n_vms and steps < cap:
+        t = server.next_boundary(t)
+        server.sync(t)
+        steps += 1
+    return steps, t
+
+
+class TestSubResolutionStages:
+    """A next_boundary -> sync loop must always advance."""
+
+    @pytest.mark.parametrize("t0", [0.0, 1e8])
+    def test_nanosecond_stage_does_not_livelock(self, t0):
+        # A 6e-12 s initialization stage is below the integrator's
+        # 1 ns resolution: it is skipped at creation, wherever the VM
+        # is placed (at t = 1e8 the loop used to spin with t frozen).
+        spec = dataclasses.replace(
+            canonical_benchmark(WorkloadClass.CPU), serial_fraction=1e-14
+        )
+        vm = SimVM("v0", 1, spec.workload_class, t0, benchmark=spec)
+        assert vm.stage == 1
+        server = ServerRuntime("s0", default_server())
+        server.sync(t0)
+        server.add_vm(vm, t0)
+        steps, t = _drain(server, t0)
+        assert server.n_vms == 0
+        assert t == pytest.approx(t0 + spec.work_time_s)
+
+    def test_nanosecond_job_is_not_born_done(self):
+        spec = dataclasses.replace(canonical_benchmark(WorkloadClass.CPU), t_ref_s=1e-12)
+        vm = SimVM("v0", 1, spec.workload_class, 0.0, benchmark=spec)
+        assert vm.stage == 1 and not vm.done
+        server = ServerRuntime("s0", default_server())
+        server.sync(0.0)
+        server.add_vm(vm, 0.0)
+        steps, _ = _drain(server, 0.0)
+        assert vm.done and server.n_vms == 0
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_late_rounding_residue_does_not_livelock(self, k):
+        # Past ~2**24 s a float step is coarser than 2 ns, so syncing
+        # to a predicted boundary can leave a stage a residue that
+        # now + residue rounds back to now.
+        t = 1e8 + 3733.7 * k
+        server = ServerRuntime("s0", default_server())
+        server.sync(t)
+        for i, cls in enumerate(WorkloadClass):
+            t += 11.3 * (i + k % 3)
+            server.sync(t)
+            server.add_vm(SimVM(f"v{i}", i, cls, t), t)
+        steps, _ = _drain(server, t)
+        assert server.n_vms == 0, f"stuck after {steps} steps"

@@ -114,28 +114,3 @@ class TestSearchTelemetry:
         second = ProactiveStrategy(database)
         first.place(vms(2), [view("s0")])
         assert second.metrics.counter("strategy.plans", strategy=second.name).value == 0
-
-    def test_last_provenance_deprecated_but_working(self, database):
-        strategy = ProactiveStrategy(database)
-        with pytest.warns(DeprecationWarning, match="last_provenance"):
-            assert strategy.last_provenance is None
-        strategy.place(vms(3), [view("s0"), view("s1")])
-        with pytest.warns(DeprecationWarning):
-            provenance = strategy.last_provenance
-        assert provenance is not None
-        assert provenance.partitions_enumerated == 3
-
-    def test_search_totals_deprecated_but_working(self, database):
-        strategy = ProactiveStrategy(database)
-        strategy.place(vms(2), [view("s0")])
-        with pytest.warns(DeprecationWarning, match="search_totals"):
-            totals = strategy.search_totals
-        assert totals["plans"] == 1
-        assert totals["grid_hits"] > 0
-
-    def test_search_totals_returns_copy(self, database):
-        strategy = ProactiveStrategy(database)
-        with pytest.warns(DeprecationWarning):
-            strategy.search_totals["plans"] = 99
-        with pytest.warns(DeprecationWarning):
-            assert strategy.search_totals["plans"] == 0
